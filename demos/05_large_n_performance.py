@@ -2,10 +2,11 @@
 
 Everything in the pipeline is O(n) except the forward coefficient
 transform (a type-I DCT, O(n log n)): assembling the bandwidth-2
-system, the back-substitution, the pentadiagonal normal equations and
-their pivoted LU. This demo counts the complex multiply-adds and
-divisions of the pentadiagonal solve and times a full large-n
-integration.
+system, the direct path's back-substitution (LAPACK ``ztbtrs`` on the
+band storage), the pentadiagonal normal equations and their pivoted
+LU. This demo counts the complex multiply-adds and divisions of the
+pentadiagonal solve and times a full large-n integration on the
+direct path.
 """
 
 import time

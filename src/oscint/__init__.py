@@ -31,6 +31,7 @@ from .levin import (
     IntegralProblem,
     IntegralResult,
     SolvePath,
+    SolverOverflowError,
     ZeroFrequencyError,
     assemble_G,
     assemble_rhs,
@@ -73,6 +74,7 @@ __all__ = [
     "PhaseSpec",
     "SingularMatrixError",
     "SolvePath",
+    "SolverOverflowError",
     "SpectralCoefficients",
     "ZeroFrequencyError",
     "assemble_G",

@@ -1,11 +1,13 @@
 """Complex banded matrices and the two solvers used by the Levin pipeline.
 
 Storage is diagonal-major: each band is a contiguous vector, so the
-triangular back-substitution and the pivoted band LU touch only O(1)
-memory per in-band entry. Out-of-band entries are unrepresentable.
+pivoted band LU touches only O(1) memory per in-band entry, and the
+triangular back-substitution copies the bands into LAPACK band storage
+for ``ztbtrs``. Out-of-band entries are unrepresentable.
 
-An optional :class:`OpCounter` instruments the solvers with a count of
-complex multiply-adds and divisions, used by the performance tests.
+An optional :class:`OpCounter` instruments the band LU and its solve
+with a count of complex multiply-adds and divisions, used by the
+performance tests.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "BandedComplexMatrix",
@@ -122,54 +125,29 @@ class BandedComplexMatrix:
         return M
 
 
-def upper_triangular_backsolve(
-    M: BandedComplexMatrix,
-    rhs: np.ndarray,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Solve M x = rhs for upper-banded M (kl = 0) in one backward pass.
+def upper_triangular_backsolve(M: BandedComplexMatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs for upper-banded M (kl = 0) by LAPACK ``ztbtrs``.
 
-    Touches only in-band entries: O(ku * dim) work. The bandwidth-2
-    case (the Levin system) runs in an unrolled loop.
+    The ku + 1 bands are copied into LAPACK upper band storage, so the
+    backward pass touches only in-band entries: O(ku * dim) work.
     """
     if M.kl != 0:
         raise ValueError("matrix must be upper triangular (kl = 0)")
-    dim = M.dim
+    dim, ku = M.dim, M.ku
     rhs = np.asarray(rhs, dtype=complex)
     if len(rhs) != dim:
         raise ValueError("right-hand side length does not match dimension")
-    diag = M.band(0)
-    small = np.abs(diag) < PIVOT_TOL
+    small = np.abs(M.band(0)) < PIVOT_TOL
     if small.any():
         i = int(np.argmax(small))
         raise SingularMatrixError(f"zero diagonal entry in row {i}", index=i)
-
-    # Plain python complex arithmetic is much faster than per-element
-    # numpy scalars in this inherently sequential loop.
-    d = diag.tolist()
-    r = rhs.tolist()
-    x = [0j] * dim
-    madds = 0
-    if M.ku == 2 and dim >= 3:
-        b1 = M.band(1).tolist()
-        b2 = M.band(2).tolist()
-        x[dim - 1] = r[dim - 1] / d[dim - 1]
-        x[dim - 2] = (r[dim - 2] - b1[dim - 2] * x[dim - 1]) / d[dim - 2]
-        for i in range(dim - 3, -1, -1):
-            x[i] = (r[i] - b1[i] * x[i + 1] - b2[i] * x[i + 2]) / d[i]
-        madds = 1 + 2 * (dim - 2)
-    else:
-        bands = [M.band(k).tolist() for k in range(M.ku + 1)]
-        for i in range(dim - 1, -1, -1):
-            s = r[i]
-            for k in range(1, min(M.ku, dim - 1 - i) + 1):
-                s -= bands[k][i] * x[i + k]
-                madds += 1
-            x[i] = s / d[i]
-    if counter is not None:
-        counter.madds += madds
-        counter.divs += dim
-    return np.asarray(x, dtype=complex)
+    ab = np.zeros((ku + 1, dim), dtype=complex)
+    for k in range(ku + 1):
+        ab[ku - k, k:] = M.band(k)
+    x, info = lapack.ztbtrs(ab, rhs[:, None])
+    if info != 0:
+        raise ValueError(f"ztbtrs failed with info = {info}")
+    return x[:, 0]
 
 
 @dataclass

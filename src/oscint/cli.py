@@ -16,6 +16,7 @@ import numpy as np
 from .expr import ParseError, parse_amplitude
 from .levin import (
     AmplitudeSamplingError,
+    SolverOverflowError,
     ZeroFrequencyError,
     integrate_on_interval,
 )
@@ -31,6 +32,7 @@ _SOLVER_ERRORS = (
     ZeroFrequencyError,
     AmplitudeSamplingError,
     SingularMatrixError,
+    SolverOverflowError,
     AccuracyNotReachedError,
     NonMonotonePhaseError,
     InversionError,

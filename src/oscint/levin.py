@@ -5,9 +5,12 @@ linear system for the Chebyshev coefficients of the slowly varying
 antiderivative p, then evaluates ``p(1)e^{i w} - p(-1)e^{-i w}``.
 
 Two solve paths: direct back-substitution on the bandwidth-2 upper
-triangular system when |omega| > n, and Hermitian normal equations
-with pivoted band LU otherwise (back-substitution can amplify rounding
-errors once n exceeds |omega|).
+triangular system by LAPACK ``ztbtrs`` when |omega| > n, and Hermitian
+normal equations with pivoted band LU otherwise (back-substitution can
+amplify rounding errors once n exceeds |omega|; see :func:`assemble_G`).
+Below a negligible effective frequency, :func:`integrate_on_interval`
+falls back to the reference quadrature and reports
+:attr:`SolvePath.QUADRATURE`.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "IntegralProblem",
     "IntegralResult",
     "SolvePath",
+    "SolverOverflowError",
     "ZeroFrequencyError",
     "assemble_G",
     "assemble_rhs",
@@ -66,9 +70,18 @@ class AmplitudeSamplingError(ValueError):
         self.node = node
 
 
+class SolverOverflowError(ValueError):
+    """The banded solve produced non-finite Chebyshev coefficients.
+
+    Forcing the direct path with n far above |omega| makes the
+    back-substitution grow geometrically until it overflows.
+    """
+
+
 class SolvePath(enum.Enum):
     DIRECT_TRIANGULAR = "direct_triangular"
     NORMAL_EQUATIONS = "normal_equations"
+    QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,20 @@ def assemble_G(omega: float, n: int) -> BandedComplexMatrix:
     down; row 0 subtracts half of row 2 to absorb its endpoint weight.
     The result: diagonal i*omega, first superdiagonal (1, 4, 6, ...,
     2n), second superdiagonal -i*omega except -i*omega/2 in row 0.
+
+    Equivalently, truncated to (n+1) x (n+1),
+
+        G = diag(1/2, 1, ..., 1) . 2 (D + i*omega*S0),
+
+    the ultraspherical discretization of p' + i*omega*p (Olver &
+    Townsend, SIAM Rev. 55(3), 2013). D maps Chebyshev-T coefficients
+    to C^(1) coefficients of the derivative (D[k, k+1] = k + 1); S0
+    converts T to C^(1) (row 0 is (1, 0, -1/2), rows k >= 1 are
+    (1/2, 0, -1/2) from column k). :func:`assemble_rhs` applies the
+    same diag(1/2, 1, ..., 1) . 2 S0 to the amplitude's coefficients.
+    Back-substitution divides by the diagonal i*omega while the first
+    superdiagonal grows like 2k, so it amplifies rounding errors once n
+    exceeds |omega|: hence the |omega| > n split between the paths.
     """
     if omega == 0:
         raise ZeroFrequencyError(
@@ -140,7 +167,8 @@ def assemble_rhs(problem: IntegralProblem, grid: ChebyshevGrid) -> np.ndarray:
     """Right-hand side matching :func:`assemble_G`.
 
     Chebyshev interpolation coefficients of the sampled amplitude,
-    combined by the same row operations that band-compress the matrix.
+    combined by the same row operations that band-compress the matrix:
+    ``diag(1/2, 1, ..., 1) . 2 S0`` applied to the coefficients.
     """
     if grid.n != problem.n:
         raise ValueError("grid degree does not match problem degree")
@@ -162,8 +190,12 @@ def solve_coefficients(
     equations otherwise. The residual is the infinity norm of
     G c - rhs for the banded system in both cases, so the paths are
     directly comparable. ``force_path`` overrides the selection (used
-    for cross-path consistency checks).
+    for cross-path consistency checks). Raises
+    :class:`SolverOverflowError` when the solve yields non-finite
+    coefficients.
     """
+    if force_path is SolvePath.QUADRATURE:
+        raise ValueError("the quadrature fallback solves no banded system")
     grid = gauss_lobatto_nodes(problem.n)
     G = assemble_G(problem.omega, problem.n)
     rhs = assemble_rhs(problem, grid)
@@ -185,6 +217,11 @@ def solve_coefficients(
         # recovers coefficient accuracy at the original kappa(G) level.
         _, y_corr = normal_system(G, rhs - G.matvec(c))
         c = c + lu_solve(factors, y_corr)
+    if not np.all(np.isfinite(c)):
+        raise SolverOverflowError(
+            f"{path.value} solve overflowed at n/|omega| = "
+            f"{problem.n / abs(problem.omega):.3g}"
+        )
     residual = float(np.max(np.abs(G.matvec(c) - rhs)))
     return SpectralCoefficients(c=c), path, residual
 
@@ -220,7 +257,10 @@ def integrate_on_interval(
 
     The interval is mapped onto [-1, 1]; the effective frequency
     becomes omega*(b-a)/2 and the constant phase shift
-    exp(i*omega*(b+a)/2) multiplies the result.
+    exp(i*omega*(b+a)/2) multiplies the result. Below a negligible
+    effective frequency no banded system is solved: the result comes
+    from the reference quadrature, with path ``QUADRATURE`` and a NaN
+    residual.
     """
     if not a < b:
         raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
@@ -232,7 +272,7 @@ def integrate_on_interval(
 
         value = oscillatory_reference_quadrature(amplitude, omega, a, b, tol=1e-13)
         return IntegralResult(
-            value=value, path=SolvePath.NORMAL_EQUATIONS, n_used=n, residual_norm=0.0
+            value=value, path=SolvePath.QUADRATURE, n_used=n, residual_norm=float("nan")
         )
 
     def mapped(t):

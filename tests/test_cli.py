@@ -62,6 +62,18 @@ class TestIntegrate:
         )
         assert abs(got - exact) < 1e-10
 
+    def test_quadrature_fallback_reports_its_path(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "integrate", "--amplitude", "exp(x)", "--omega", "1e-20",
+            "--a", "0", "--b", "1", "--n", "8",
+        )
+        assert code == 0
+        fields = out.split()
+        assert float(fields[0]) == pytest.approx(np.e - 1, abs=1e-12)
+        assert fields[2] == "quadrature"
+        assert fields[3] == "nan"
+
     def test_zero_frequency_is_solver_error(self, capsys):
         code, _, err = run(
             capsys, "integrate", "--amplitude", "x", "--omega", "0", "--n", "8"

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
@@ -6,6 +9,7 @@ from oscint import (
     AmplitudeSamplingError,
     IntegralProblem,
     SolvePath,
+    SolverOverflowError,
     ZeroFrequencyError,
     assemble_G,
     assemble_rhs,
@@ -33,6 +37,15 @@ def band_compressor(n):
     for i in range(1, n - 1):
         P[i, i + 2] = -1.0
     return P
+
+
+def ultraspherical_operators(n):
+    """Dense T -> C^(1) differentiation D and conversion S0, with the
+    row scaling diag(1/2, 1, ..., 1), all (n+1) x (n+1)."""
+    D = np.diag(np.arange(1.0, n + 1), 1)
+    S0 = np.diag(np.r_[1.0, np.full(n, 0.5)]) - 0.5 * np.eye(n + 1, k=2)
+    scale = np.diag(np.r_[0.5, np.ones(n)])
+    return D, S0, scale
 
 
 class TestAssembleG:
@@ -65,6 +78,22 @@ class TestAssembleG:
     def test_zero_frequency_rejected(self):
         with pytest.raises(ZeroFrequencyError):
             assemble_G(0.0, 8)
+
+    @pytest.mark.parametrize("omega", [3.5, -3.5])
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_ultraspherical_identity(self, omega, n):
+        # G = diag(1/2, 1, ..., 1) . 2 (D + i*omega*S0), and the rhs is the
+        # same row-scaled conversion applied to the amplitude's coefficients
+        D, S0, scale = ultraspherical_operators(n)
+        expected = scale @ (2 * (D + 1j * omega * S0))
+        np.testing.assert_array_equal(assemble_G(omega, n).to_dense(), expected)
+        rng = np.random.default_rng(n)
+        coeffs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        amp = lambda x: npcheb.chebval(x, coeffs)
+        grid = gauss_lobatto_nodes(n)
+        c = forward_coefficients(amp(grid.nodes), grid)
+        rhs = assemble_rhs(IntegralProblem(amp, omega, n), grid)
+        np.testing.assert_array_equal(rhs, scale @ (2 * S0) @ c)
 
 
 class TestAssembleRHS:
@@ -154,6 +183,18 @@ class TestSolveCoefficients:
         value = integrate_standard(IntegralProblem(amp, omega, n)).value
         exact = oscillatory_reference_quadrature(amp, omega, -1, 1, tol=1e-13)
         assert abs(value - exact) < 1e-12
+
+    def test_forced_direct_path_overflow_is_typed(self):
+        problem = IntegralProblem(lambda x: 1 / (x + 2), 1.0, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverOverflowError, match=re.escape("n/|omega| = 400")):
+                solve_coefficients(problem, SolvePath.DIRECT_TRIANGULAR)
+
+    def test_quadrature_path_cannot_be_forced(self):
+        problem = IntegralProblem(lambda x: x, 5.0, 8)
+        with pytest.raises(ValueError):
+            solve_coefficients(problem, SolvePath.QUADRATURE)
 
 
 class TestIntegrateStandard:
@@ -255,6 +296,8 @@ class TestIntegrateOnInterval:
     def test_zero_effective_frequency_falls_back_to_quadrature(self):
         result = integrate_on_interval(lambda x: x**2, 0.0, 0.0, 1.0, 8)
         assert abs(result.value - 1.0 / 3.0) < 1e-12
+        assert result.path is SolvePath.QUADRATURE
+        assert np.isnan(result.residual_norm)
 
 
 def test_problem_validation():
