@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -44,7 +45,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="oscint",
         description="Oscillatory Fourier integrals by Chebyshev-Levin collocation",
@@ -86,9 +89,17 @@ def _parse_expr(src: str, parser: argparse.ArgumentParser):
         parser.error(f"bad expression {src!r}: {exc}")
 
 
-def _real_fn(expr):
+def _real_fn(expr, flag: str):
+    """Wrap a phase expression as a real function; complex values raise."""
     def f(x):
-        return np.real(expr(x))
+        v = expr(x)
+        complex_at = v.imag != 0
+        if np.any(complex_at):
+            raise ValueError(
+                f"{flag} {expr.source!r} is complex at x = "
+                f"{float(np.asarray(x)[complex_at][0])!r}; phases must be real"
+            )
+        return v.real
 
     return f
 
@@ -99,8 +110,10 @@ def _cmd_integrate(args, parser) -> int:
     if args.phase is not None:
         if args.phase_derivative is None:
             parser.error("--phase requires --phase-derivative")
-        g = _real_fn(_parse_expr(args.phase, parser))
-        gp = _real_fn(_parse_expr(args.phase_derivative, parser))
+        g = _real_fn(_parse_expr(args.phase, parser), "--phase")
+        gp = _real_fn(
+            _parse_expr(args.phase_derivative, parser), "--phase-derivative"
+        )
         spec = PhaseSpec(g=g, g_prime=gp, bracket=(a, b))
         amplitude, (a, b), _ = substitute(amplitude, spec, args.omega)
     if args.omega == 0:

@@ -90,6 +90,21 @@ class TestIntegrate:
         assert code == 3
         assert "one sign" in err
 
+    @pytest.mark.parametrize(
+        "phase, derivative, flag",
+        [("x+i*x^2", "1", "--phase"), ("x", "1+i*x", "--phase-derivative")],
+    )
+    def test_complex_phase_is_solver_error(self, capsys, phase, derivative, flag):
+        code, out, err = run(
+            capsys,
+            "integrate", "--amplitude", "1", "--omega", "5", "--n", "16",
+            "--phase", phase, "--phase-derivative", derivative,
+        )
+        assert code == 3
+        assert out == ""
+        assert f"{flag} " in err and "complex" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_phase_without_derivative_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "--amplitude", "1", "--omega", "5", "--n", "8",
