@@ -2,51 +2,40 @@
 
 Everything in the pipeline is O(n) except the forward coefficient
 transform (a type-I DCT, O(n log n)): assembling the bandwidth-2
-system, the direct path's back-substitution (LAPACK ``ztbtrs`` on the
-band storage), the pentadiagonal normal equations and their pivoted
-LU. This demo counts the complex multiply-adds and divisions of the
-pentadiagonal solve and times a full large-n integration on the
-direct path.
+system, the direct path's back-substitution (LAPACK ``ztbtrs``) and the
+normal path's pentadiagonal equations with their pivoted band LU
+(LAPACK ``zgbtrf``/``zgbtrs``). This demo times full integrals on both
+paths, min of 3 runs each, and prints the time per unknown, which does
+not grow as n grows a hundredfold.
 """
 
 import time
 
-import numpy as np
+from oscint import IntegralProblem, integrate_standard
 
-from oscint import (
-    IntegralProblem,
-    OpCounter,
-    assemble_G,
-    banded_lu_partial_pivot,
-    integrate_standard,
-    lu_solve,
-    normal_system,
-)
 
-print("pentadiagonal solve, operation count vs n:")
-rng = np.random.default_rng(0)
-for n in (64, 256, 1024, 4096, 16384):
-    G = assemble_G(5.0, n)
-    rhs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-    H, y = normal_system(G, rhs)
-    counter = OpCounter()
-    factors = banded_lu_partial_pivot(H, counter=counter)
-    lu_solve(factors, y, counter=counter)
-    print(f"  n={n:6d}   madds+divs = {counter.total:8d}   = {counter.total / n:5.2f} n")
+def best_of_3(problem):
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        result = integrate_standard(problem)
+        times.append(time.perf_counter() - t0)
+    return min(times), result
 
-print()
-print("full integration wall time, amplitude 1/(x+2):")
-for n, omega in ((1000, 1e4), (10000, 1e5), (100000, 1e6)):
-    problem = IntegralProblem(lambda x: 1.0 / (x + 2.0), omega, n)
-    t0 = time.perf_counter()
-    result = integrate_standard(problem)
-    dt = time.perf_counter() - t0
-    print(
-        f"  n={n:6d} omega={omega:8g}   {dt * 1e3:8.1f} ms   "
-        f"I = {result.value.real:+.12e} {result.value.imag:+.12e}i"
-    )
+
+print("full integration wall time, amplitude 1/(x+2), min of 3 runs:")
+for label, omega_of in (("omega = 5", lambda n: 5.0), ("omega = 10 n", lambda n: 10.0 * n)):
+    print(f"  {label}:")
+    for n in (1000, 10000, 100000):
+        problem = IntegralProblem(lambda x: 1.0 / (x + 2.0), omega_of(n), n)
+        dt, result = best_of_3(problem)
+        print(
+            f"    n={n:6d}  {result.path.value:17s}  {dt * 1e3:7.2f} ms  "
+            f"{dt / n * 1e9:6.1f} ns/unknown   "
+            f"I = {result.value.real:+.12e} {result.value.imag:+.12e}i"
+        )
 
 print()
-print("The operation count is a flat multiple of n and the wall time")
-print("scales linearly; a hundred thousand unknowns solve in well under")
-print("a second.")
+print("The time per unknown does not grow with n on either path (fixed")
+print("per-call costs weigh most at small n), so the wall time scales")
+print("linearly; a hundred thousand unknowns solve in well under a second.")

@@ -8,7 +8,6 @@ problem to a banded complex linear system solved in O(n) time.
 from .banded import (
     BandedComplexMatrix,
     LUFactors,
-    OpCounter,
     SingularMatrixError,
     banded_lu_partial_pivot,
     lu_solve,
@@ -69,7 +68,6 @@ __all__ = [
     "InversionError",
     "LUFactors",
     "NonMonotonePhaseError",
-    "OpCounter",
     "ParseError",
     "PhaseSpec",
     "SingularMatrixError",

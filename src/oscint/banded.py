@@ -1,13 +1,9 @@
 """Complex banded matrices and the two solvers used by the Levin pipeline.
 
-Storage is diagonal-major: each band is a contiguous vector, so the
-pivoted band LU touches only O(1) memory per in-band entry, and the
-triangular back-substitution copies the bands into LAPACK band storage
-for ``ztbtrs``. Out-of-band entries are unrepresentable.
-
-An optional :class:`OpCounter` instruments the band LU and its solve
-with a count of complex multiply-adds and divisions, used by the
-performance tests.
+Storage is diagonal-major: each band is a contiguous vector. Both solvers
+copy the bands into LAPACK band storage: the triangular back-substitution
+for ``ztbtrs``, the pivoted band LU and its solve for ``zgbtrf`` and
+``zgbtrs``. Out-of-band entries are unrepresentable.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from scipy.linalg import lapack
 __all__ = [
     "BandedComplexMatrix",
     "LUFactors",
-    "OpCounter",
     "SingularMatrixError",
     "upper_triangular_backsolve",
     "banded_lu_partial_pivot",
@@ -41,18 +36,6 @@ class SingularMatrixError(ValueError):
         self.index = index
 
 
-@dataclass
-class OpCounter:
-    """Tally of complex floating-point work done by a solver."""
-
-    madds: int = 0
-    divs: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.madds + self.divs
-
-
 class BandedComplexMatrix:
     """Square complex matrix with lower/upper bandwidths (kl, ku).
 
@@ -61,7 +44,7 @@ class BandedComplexMatrix:
     k < 0 it is entry (t+|k|, t).
     """
 
-    def __init__(self, dim: int, kl: int, ku: int, *, hermitian: bool = False):
+    def __init__(self, dim: int, kl: int, ku: int):
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if not (0 <= kl < dim and 0 <= ku < dim):
@@ -69,15 +52,10 @@ class BandedComplexMatrix:
         self.dim = dim
         self.kl = kl
         self.ku = ku
-        self.hermitian = hermitian
         self._bands = {
             k: np.zeros(dim - abs(k), dtype=complex)
             for k in range(-kl, ku + 1)
         }
-
-    @classmethod
-    def zeros(cls, dim: int, kl: int, ku: int) -> "BandedComplexMatrix":
-        return cls(dim, kl, ku)
 
     @classmethod
     def from_dense(cls, M: np.ndarray, kl: int, ku: int) -> "BandedComplexMatrix":
@@ -125,6 +103,17 @@ class BandedComplexMatrix:
         return M
 
 
+def _band_storage(M: BandedComplexMatrix, fill: int = 0) -> np.ndarray:
+    """M's bands in LAPACK band storage, below ``fill`` zero rows.
+
+    Row fill + ku - k holds band k, aligned by column.
+    """
+    ab = np.zeros((fill + M.kl + M.ku + 1, M.dim), dtype=complex)
+    for k in range(-M.kl, M.ku + 1):
+        ab[fill + M.ku - k, max(k, 0) : M.dim + min(k, 0)] = M.band(k)
+    return ab
+
+
 def upper_triangular_backsolve(M: BandedComplexMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs for upper-banded M (kl = 0) by LAPACK ``ztbtrs``.
 
@@ -133,18 +122,14 @@ def upper_triangular_backsolve(M: BandedComplexMatrix, rhs: np.ndarray) -> np.nd
     """
     if M.kl != 0:
         raise ValueError("matrix must be upper triangular (kl = 0)")
-    dim, ku = M.dim, M.ku
     rhs = np.asarray(rhs, dtype=complex)
-    if len(rhs) != dim:
+    if len(rhs) != M.dim:
         raise ValueError("right-hand side length does not match dimension")
     small = np.abs(M.band(0)) < PIVOT_TOL
     if small.any():
         i = int(np.argmax(small))
         raise SingularMatrixError(f"zero diagonal entry in row {i}", index=i)
-    ab = np.zeros((ku + 1, dim), dtype=complex)
-    for k in range(ku + 1):
-        ab[ku - k, k:] = M.band(k)
-    x, info = lapack.ztbtrs(ab, rhs[:, None])
+    x, info = lapack.ztbtrs(_band_storage(M), rhs[:, None])
     if info != 0:
         raise ValueError(f"ztbtrs failed with info = {info}")
     return x[:, 0]
@@ -152,131 +137,52 @@ def upper_triangular_backsolve(M: BandedComplexMatrix, rhs: np.ndarray) -> np.nd
 
 @dataclass
 class LUFactors:
-    """Row-pivoted band LU, with fill-in confined to kl + ku superdiagonals.
+    """Row-pivoted band LU from LAPACK ``zgbtrf``.
 
-    ``rows[ofs][j]`` holds the factored entry (j + ofs - ku - kl, j):
-    offsets 0..kl+ku are the rows of U, offsets above that hold the L
-    multipliers in elimination order. ``pivots[k]`` is the row swapped
-    into position k at step k.
+    ``rows`` is LAPACK general band storage: ``rows[ofs][j]`` holds the
+    factored entry (j + ofs - ku - kl, j). Offsets 0..kl+ku are the rows
+    of U, whose fill-in stays within kl + ku superdiagonals; offsets
+    above that hold the L multipliers. ``pivots`` is LAPACK's ``ipiv`` as
+    scipy returns it, 0-based: ``pivots[k]`` is the row swapped into
+    position k at step k.
     """
 
     dim: int
     kl: int
     ku: int
-    rows: list = field(repr=False)
-    pivots: list = field(repr=False)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Recompute M x from the factors (reconstruction check)."""
-        dim, kl, kw = self.dim, self.kl, self.kl + self.ku
-        t = list(np.asarray(x, dtype=complex))
-        # t = U x
-        u = [0j] * dim
-        for i in range(dim):
-            s = 0j
-            for j in range(i, min(i + kw, dim - 1) + 1):
-                s += self.rows[kw + i - j][j] * t[j]
-            u[i] = s
-        t = u
-        # undo the eliminations: M = (P_0^T L_0^-1 ... P_{n-1}^T L_{n-1}^-1) U
-        for k in range(dim - 1, -1, -1):
-            for r in range(min(k + kl, dim - 1), k, -1):
-                t[r] += self.rows[kw + r - k][k] * t[k]
-            p = self.pivots[k]
-            if p != k:
-                t[k], t[p] = t[p], t[k]
-        return np.asarray(t, dtype=complex)
+    rows: np.ndarray = field(repr=False)
+    pivots: np.ndarray = field(repr=False)
 
 
-def banded_lu_partial_pivot(
-    M: BandedComplexMatrix,
-    counter: OpCounter | None = None,
-) -> LUFactors:
+def banded_lu_partial_pivot(M: BandedComplexMatrix) -> LUFactors:
     """LU factorization of a banded matrix with partial (row) pivoting.
 
     Row interchanges are limited to the kl rows below the diagonal, so
     fill-in stays within kl + ku superdiagonals and the factorization
-    costs O((kl + ku)^2 dim).
+    (LAPACK ``zgbtrf``) costs O((kl + ku)^2 dim).
     """
     dim, kl, ku = M.dim, M.kl, M.ku
-    kw = kl + ku  # upper bandwidth after fill
-    # rows[ofs][j] = entry(j + ofs - kw, j); list-of-lists for speed
-    rows = [[0j] * dim for _ in range(kw + kl + 1)]
-    for k in range(-kl, ku + 1):
-        band = M.band(k)
-        for t in range(len(band)):
-            i, j = (t, t + k) if k >= 0 else (t - k, t)
-            rows[kw + i - j][j] = complex(band[t])
-    pivots = [0] * dim
-    madds = 0
-    divs = 0
-    for k in range(dim):
-        rmax = min(k + kl, dim - 1)
-        # pivot search in column k
-        p = k
-        best = abs(rows[kw][k])
-        for r in range(k + 1, rmax + 1):
-            a = abs(rows[kw + r - k][k])
-            if a > best:
-                best = a
-                p = r
-        if best < PIVOT_TOL:
-            raise SingularMatrixError(f"pivot column {k} is zero", index=k)
-        pivots[k] = p
-        jmax = min(k + kw, dim - 1)
-        if p != k:
-            for j in range(k, jmax + 1):
-                a, b = kw + k - j, kw + p - j
-                rows[a][j], rows[b][j] = rows[b][j], rows[a][j]
-        piv = rows[kw][k]
-        for r in range(k + 1, rmax + 1):
-            m = rows[kw + r - k][k] / piv
-            divs += 1
-            rows[kw + r - k][k] = m
-            if m != 0j:
-                for j in range(k + 1, jmax + 1):
-                    rows[kw + r - j][j] -= m * rows[kw + k - j][j]
-                    madds += 1
-    if counter is not None:
-        counter.madds += madds
-        counter.divs += divs
+    rows, pivots, info = lapack.zgbtrf(_band_storage(M, fill=kl), kl, ku)
+    if info < 0:
+        raise ValueError(f"zgbtrf failed with info = {info}")
+    small = np.abs(rows[kl + ku]) < PIVOT_TOL
+    if small.any():
+        k = int(np.argmax(small))
+        raise SingularMatrixError(f"pivot column {k} is zero", index=k)
     return LUFactors(dim=dim, kl=kl, ku=ku, rows=rows, pivots=pivots)
 
 
-def lu_solve(
-    factors: LUFactors,
-    rhs: np.ndarray,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Solve M x = rhs from a prior :func:`banded_lu_partial_pivot`."""
-    dim, kl = factors.dim, factors.kl
-    kw = factors.kl + factors.ku
+def lu_solve(factors: LUFactors, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs from a prior :func:`banded_lu_partial_pivot` (``zgbtrs``)."""
     rhs = np.asarray(rhs, dtype=complex)
-    if len(rhs) != dim:
+    if len(rhs) != factors.dim:
         raise ValueError("right-hand side length does not match dimension")
-    rows = factors.rows
-    y = rhs.tolist()
-    madds = 0
-    for k in range(dim):
-        p = factors.pivots[k]
-        if p != k:
-            y[k], y[p] = y[p], y[k]
-        yk = y[k]
-        if yk != 0j:
-            for r in range(k + 1, min(k + kl, dim - 1) + 1):
-                y[r] -= rows[kw + r - k][k] * yk
-                madds += 1
-    x = [0j] * dim
-    for i in range(dim - 1, -1, -1):
-        s = y[i]
-        for j in range(i + 1, min(i + kw, dim - 1) + 1):
-            s -= rows[kw + i - j][j] * x[j]
-            madds += 1
-        x[i] = s / rows[kw][i]
-    if counter is not None:
-        counter.madds += madds
-        counter.divs += dim
-    return np.asarray(x, dtype=complex)
+    x, info = lapack.zgbtrs(
+        factors.rows, factors.kl, factors.ku, rhs[:, None], factors.pivots
+    )
+    if info != 0:
+        raise ValueError(f"zgbtrs failed with info = {info}")
+    return x[:, 0]
 
 
 def normal_system(
@@ -306,7 +212,7 @@ def normal_system(
     h1[1:] += np.conj(s1[:-1]) * s2
     h2 = np.conj(d[:-2]) * s2
 
-    H = BandedComplexMatrix(dim, kl=2, ku=2, hermitian=True)
+    H = BandedComplexMatrix(dim, kl=2, ku=2)
     H.set_band(0, h0.astype(complex))
     H.set_band(1, h1)
     H.set_band(2, h2)

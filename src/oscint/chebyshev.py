@@ -127,7 +127,7 @@ def spectral_diff_matrix(n: int) -> BandedComplexMatrix:
     """
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    B = BandedComplexMatrix.zeros(n + 1, kl=0, ku=n)
+    B = BandedComplexMatrix(n + 1, kl=0, ku=n)
     for k in range(1, n + 1):  # band offset
         band = np.zeros(n + 1 - k, dtype=complex)
         if k % 2 == 1:

@@ -6,8 +6,9 @@ antiderivative p, then evaluates ``p(1)e^{i w} - p(-1)e^{-i w}``.
 
 Two solve paths: direct back-substitution on the bandwidth-2 upper
 triangular system by LAPACK ``ztbtrs`` when |omega| > n, and Hermitian
-normal equations with pivoted band LU otherwise (back-substitution can
-amplify rounding errors once n exceeds |omega|; see :func:`assemble_G`).
+normal equations by LAPACK's pivoted band LU (``zgbtrf``/``zgbtrs``)
+with one refinement pass otherwise (back-substitution can amplify
+rounding errors once n exceeds |omega|; see :func:`assemble_G`).
 Below a negligible effective frequency, :func:`integrate_on_interval`
 falls back to the reference quadrature and reports
 :attr:`SolvePath.QUADRATURE`.

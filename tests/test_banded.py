@@ -108,7 +108,7 @@ class TestBandedLU:
         M = BandedComplexMatrix(2, 1, 1)
         M.set_band(0, np.array([2.0, 3j]))
         factors = banded_lu_partial_pivot(M)
-        assert factors.pivots == [0, 1]
+        np.testing.assert_array_equal(factors.pivots, [0, 1])
         np.testing.assert_allclose(lu_solve(factors, np.array([2.0, 3j])), [1, 1])
 
     def test_zero_leading_entry_needs_pivot(self):
@@ -126,12 +126,12 @@ class TestBandedLU:
         kl = int(rng.integers(1, 3))
         ku = int(rng.integers(1, 4))
         M = random_banded(rng, dim, kl, ku, diag_boost=2.0)
-        factors = banded_lu_partial_pivot(M)
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        scale = np.max(np.abs(M.to_dense()))
-        np.testing.assert_allclose(
-            factors.apply(x), M.matvec(x), atol=1e-12 * scale * np.max(np.abs(x))
-        )
+        rhs = M.matvec(x)
+        solved = lu_solve(banded_lu_partial_pivot(M), rhs)
+        np.testing.assert_allclose(solved, x, atol=1e-11 * np.max(np.abs(x)))
+        dense = np.linalg.solve(M.to_dense(), rhs)
+        np.testing.assert_allclose(solved, dense, rtol=1e-13, atol=1e-13)
 
     def test_pentadiagonal_normal_matrix_vs_dense_oracle(self):
         G = assemble_G(omega=4.0, n=8)
@@ -210,7 +210,6 @@ class TestNormalSystem:
         rng = np.random.default_rng(100 + seed)
         G = random_banded(rng, 10, 0, 2)
         H, _ = normal_system(G, np.zeros(10))
-        assert H.hermitian
         Hd = H.to_dense()
         np.testing.assert_allclose(Hd, Hd.conj().T, atol=1e-13)
         assert np.all(H.band(0).real >= 0)

@@ -198,6 +198,19 @@ class TestSolveCoefficients:
 
 
 class TestIntegrateStandard:
+    @pytest.mark.parametrize("alpha", [0.8 + 0.7j, -1.2 - 1.1j])
+    @pytest.mark.parametrize("n", [2000, 20000])
+    @pytest.mark.parametrize("omega", [1.0, 5.0, 10.0])
+    def test_large_n_normal_regime(self, alpha, n, omega):
+        # int exp(alpha x) exp(i omega x) = 2 sinh(z)/z, z = alpha + i omega
+        result = integrate_standard(
+            IntegralProblem(lambda x: np.exp(alpha * x), omega, n)
+        )
+        assert result.path is SolvePath.NORMAL_EQUATIONS
+        z = alpha + 1j * omega
+        exact = 2 * np.sinh(z) / z
+        assert abs(result.value - exact) <= 1e-10 * abs(exact)
+
     def test_constant_antiderivative_value(self):
         result = integrate_standard(
             IntegralProblem(lambda x: 3j * np.ones_like(x), 3.0, 4)
