@@ -5,24 +5,13 @@ slowly varying antiderivative on a Gauss-Lobatto grid, reducing the
 problem to a banded complex linear system solved in O(n) time.
 """
 
-from .banded import (
-    BandedComplexMatrix,
-    LUFactors,
-    SingularMatrixError,
-    banded_lu_partial_pivot,
-    lu_solve,
-    normal_system,
-    upper_triangular_backsolve,
-)
+from .banded import SingularMatrixError
 from .chebyshev import (
     ChebyshevGrid,
     SpectralCoefficients,
     endpoint_values,
     forward_coefficients,
     gauss_lobatto_nodes,
-    physical_diff_matrix,
-    spectral_diff_matrix,
-    transform_matrix,
 )
 from .expr import AmplitudeExpr, ParseError, parse_amplitude
 from .levin import (
@@ -60,13 +49,11 @@ __all__ = [
     "AccuracyNotReachedError",
     "AmplitudeExpr",
     "AmplitudeSamplingError",
-    "BandedComplexMatrix",
     "ChebyshevGrid",
     "ExampleSpec",
     "IntegralProblem",
     "IntegralResult",
     "InversionError",
-    "LUFactors",
     "NonMonotonePhaseError",
     "ParseError",
     "PhaseSpec",
@@ -77,7 +64,6 @@ __all__ = [
     "ZeroFrequencyError",
     "assemble_G",
     "assemble_rhs",
-    "banded_lu_partial_pivot",
     "builtin_examples",
     "dense_collocation_solve",
     "endpoint_values",
@@ -86,15 +72,9 @@ __all__ = [
     "get_example",
     "integrate_on_interval",
     "integrate_standard",
-    "lu_solve",
-    "normal_system",
     "numeric_inverse",
     "oscillatory_reference_quadrature",
     "parse_amplitude",
-    "physical_diff_matrix",
     "solve_coefficients",
-    "spectral_diff_matrix",
     "substitute",
-    "transform_matrix",
-    "upper_triangular_backsolve",
 ]

@@ -1,9 +1,10 @@
 """Complex banded matrices and the two solvers used by the Levin pipeline.
 
-Storage is diagonal-major: each band is a contiguous vector. Both solvers
-copy the bands into LAPACK band storage: the triangular back-substitution
-for ``ztbtrs``, the pivoted band LU and its solve for ``zgbtrf`` and
-``zgbtrs``. Out-of-band entries are unrepresentable.
+A matrix is stored once, in LAPACK general band storage, and that array
+goes to LAPACK as it is: to ``ztbtrs`` for the triangular
+back-substitution (kl = 0 is exactly its upper band storage) and to
+``zgbtrf`` for the pivoted band LU, solved by ``zgbtrs``. Out-of-band
+entries are unrepresentable.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class SingularMatrixError(ValueError):
 class BandedComplexMatrix:
     """Square complex matrix with lower/upper bandwidths (kl, ku).
 
+    ``ab`` is LAPACK general band storage, shape (2*kl + ku + 1, dim):
+    entry (i, j) sits at ``ab[kl + ku + i - j, j]``, so row kl + ku - k
+    holds band k aligned by column. The top kl rows stay zero; they
+    are the room ``zgbtrf`` needs for its fill-in.
+
     Band k (-kl <= k <= ku) is a vector of length dim - |k| running
     from the top-left: for k >= 0 element t is entry (t, t+k), for
     k < 0 it is entry (t+|k|, t).
@@ -52,73 +58,62 @@ class BandedComplexMatrix:
         self.dim = dim
         self.kl = kl
         self.ku = ku
-        self._bands = {
-            k: np.zeros(dim - abs(k), dtype=complex)
-            for k in range(-kl, ku + 1)
-        }
+        self.ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex)
 
-    @classmethod
-    def from_dense(cls, M: np.ndarray, kl: int, ku: int) -> "BandedComplexMatrix":
-        M = np.asarray(M)
-        out = cls(M.shape[0], kl, ku)
-        for k in range(-kl, ku + 1):
-            out.set_band(k, np.diagonal(M, k))
-        return out
+    def _columns(self) -> list[tuple[int, int, int]]:
+        """(k, lo, hi) per band k: columns lo <= j < hi hold entry (j - k, j)."""
+        dim = self.dim
+        return [(k, max(k, 0), dim + min(k, 0)) for k in range(-self.kl, self.ku + 1)]
 
     def band(self, k: int) -> np.ndarray:
-        return self._bands[k]
+        """Band k as a writable view into ``ab``."""
+        if not -self.kl <= k <= self.ku:
+            raise ValueError(f"band {k} is outside kl={self.kl}, ku={self.ku}")
+        return self.ab[self.kl + self.ku - k, max(k, 0) : self.dim + min(k, 0)]
 
     def set_band(self, k: int, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=complex)
-        if len(values) != self.dim - abs(k):
-            raise ValueError(f"band {k} must have length {self.dim - abs(k)}")
-        self._bands[k] = values.copy()
+        band = self.band(k)
+        if len(values) != len(band):
+            raise ValueError(f"band {k} must have length {len(band)}")
+        band[:] = values
 
-    def entry(self, i: int, j: int) -> complex:
-        k = j - i
-        if -self.kl <= k <= self.ku:
-            return complex(self._bands[k][min(i, j)])
-        return 0j
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def _vector(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
         if len(x) != self.dim:
             raise ValueError("vector length does not match matrix dimension")
+        return x
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product M x."""
+        x = self._vector(x)
         y = np.zeros(self.dim, dtype=complex)
-        for k, band in self._bands.items():
-            if k >= 0:
-                y[: self.dim - k] += band * x[k:]
-            else:
-                y[-k:] += band * x[: self.dim + k]
+        top = self.kl + self.ku
+        for k, lo, hi in self._columns():
+            y[lo - k : hi - k] += self.ab[top - k, lo:hi] * x[lo:hi]
+        return y
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """The product M^H x."""
+        x = self._vector(x)
+        y = np.zeros(self.dim, dtype=complex)
+        top = self.kl + self.ku
+        for k, lo, hi in self._columns():
+            y[lo:hi] += np.conj(self.ab[top - k, lo:hi]) * x[lo - k : hi - k]
         return y
 
     def to_dense(self) -> np.ndarray:
         M = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, band in self._bands.items():
-            i = np.arange(len(band))
-            if k >= 0:
-                M[i, i + k] = band
-            else:
-                M[i - k, i] = band
+        for k, lo, hi in self._columns():
+            j = np.arange(lo, hi)
+            M[j - k, j] = self.band(k)
         return M
-
-
-def _band_storage(M: BandedComplexMatrix, fill: int = 0) -> np.ndarray:
-    """M's bands in LAPACK band storage, below ``fill`` zero rows.
-
-    Row fill + ku - k holds band k, aligned by column.
-    """
-    ab = np.zeros((fill + M.kl + M.ku + 1, M.dim), dtype=complex)
-    for k in range(-M.kl, M.ku + 1):
-        ab[fill + M.ku - k, max(k, 0) : M.dim + min(k, 0)] = M.band(k)
-    return ab
 
 
 def upper_triangular_backsolve(M: BandedComplexMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs for upper-banded M (kl = 0) by LAPACK ``ztbtrs``.
 
-    The ku + 1 bands are copied into LAPACK upper band storage, so the
-    backward pass touches only in-band entries: O(ku * dim) work.
+    ``M.ab`` is already LAPACK upper band storage, so the backward pass
+    touches only in-band entries: O(ku * dim) work.
     """
     if M.kl != 0:
         raise ValueError("matrix must be upper triangular (kl = 0)")
@@ -129,7 +124,7 @@ def upper_triangular_backsolve(M: BandedComplexMatrix, rhs: np.ndarray) -> np.nd
     if small.any():
         i = int(np.argmax(small))
         raise SingularMatrixError(f"zero diagonal entry in row {i}", index=i)
-    x, info = lapack.ztbtrs(_band_storage(M), rhs[:, None])
+    x, info = lapack.ztbtrs(M.ab, rhs[:, None])
     if info != 0:
         raise ValueError(f"ztbtrs failed with info = {info}")
     return x[:, 0]
@@ -159,10 +154,11 @@ def banded_lu_partial_pivot(M: BandedComplexMatrix) -> LUFactors:
 
     Row interchanges are limited to the kl rows below the diagonal, so
     fill-in stays within kl + ku superdiagonals and the factorization
-    (LAPACK ``zgbtrf``) costs O((kl + ku)^2 dim).
+    (LAPACK ``zgbtrf`` on ``M.ab``, which it does not overwrite) costs
+    O((kl + ku)^2 dim).
     """
     dim, kl, ku = M.dim, M.kl, M.ku
-    rows, pivots, info = lapack.zgbtrf(_band_storage(M, fill=kl), kl, ku)
+    rows, pivots, info = lapack.zgbtrf(M.ab, kl, ku)
     if info < 0:
         raise ValueError(f"zgbtrf failed with info = {info}")
     small = np.abs(rows[kl + ku]) < PIVOT_TOL
@@ -197,10 +193,7 @@ def normal_system(
     """
     if G.kl != 0 or G.ku != 2:
         raise ValueError("normal_system expects an upper-banded matrix with ku = 2")
-    dim = G.dim
-    rhs = np.asarray(rhs, dtype=complex)
-    if len(rhs) != dim:
-        raise ValueError("right-hand side length does not match dimension")
+    y = G.rmatvec(rhs)
     d = G.band(0)
     s1 = G.band(1)
     s2 = G.band(2)
@@ -212,14 +205,10 @@ def normal_system(
     h1[1:] += np.conj(s1[:-1]) * s2
     h2 = np.conj(d[:-2]) * s2
 
-    H = BandedComplexMatrix(dim, kl=2, ku=2)
-    H.set_band(0, h0.astype(complex))
+    H = BandedComplexMatrix(G.dim, kl=2, ku=2)
+    H.set_band(0, h0)
     H.set_band(1, h1)
     H.set_band(2, h2)
     H.set_band(-1, np.conj(h1))
     H.set_band(-2, np.conj(h2))
-
-    y = np.conj(d) * rhs
-    y[1:] += np.conj(s1) * rhs[:-1]
-    y[2:] += np.conj(s2) * rhs[:-2]
     return H, y

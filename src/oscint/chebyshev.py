@@ -1,9 +1,8 @@
 """Chebyshev machinery on Gauss-Lobatto grids.
 
-Nodes, transform and differentiation matrices (physical and spectral
-space), the forward coefficient transform, and endpoint evaluation of
-Chebyshev series. Everything here is real except that coefficient
-vectors are allowed to be complex.
+Nodes, the forward coefficient transform (a DCT), and endpoint
+evaluation of Chebyshev series. Everything here is real except that
+coefficient vectors are allowed to be complex.
 """
 
 from __future__ import annotations
@@ -13,15 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dct
 
-from .banded import BandedComplexMatrix
-
 __all__ = [
     "ChebyshevGrid",
     "SpectralCoefficients",
     "gauss_lobatto_nodes",
-    "transform_matrix",
-    "physical_diff_matrix",
-    "spectral_diff_matrix",
     "forward_coefficients",
     "endpoint_values",
 ]
@@ -76,67 +70,6 @@ def gauss_lobatto_nodes(n: int) -> ChebyshevGrid:
     x[n + 1 - half :] = -x[:half][::-1]
     x.flags.writeable = False
     return ChebyshevGrid(n=n, nodes=x)
-
-
-def transform_matrix(grid: ChebyshevGrid) -> np.ndarray:
-    """Matrix T with T[j, k] = T_k(x_j), by the three-term recurrence.
-
-    Maps a coefficient vector to the vector of series values on the
-    grid. Dense; intended for moderate n and for oracle checks.
-    """
-    n = grid.n
-    T = np.empty((n + 1, n + 1))
-    T[:, 0] = 1.0
-    T[:, 1] = grid.nodes
-    for k in range(1, n):
-        T[:, k + 1] = 2.0 * grid.nodes * T[:, k] - T[:, k - 1]
-    return T
-
-
-def _endpoint_weights(n: int) -> np.ndarray:
-    r = np.ones(n + 1)
-    r[0] = r[n] = 2.0
-    return r
-
-
-def physical_diff_matrix(grid: ChebyshevGrid) -> np.ndarray:
-    """Differentiation matrix acting on function samples at the nodes.
-
-    Off-diagonal entries (r_k/r_j)(-1)^(k+j)/(x_k - x_j) with endpoint
-    weights r_0 = r_n = 2; the diagonal is the negative row sum, which
-    forces exact differentiation of constants.
-    """
-    n = grid.n
-    x = grid.nodes
-    r = _endpoint_weights(n)
-    sign = (-1.0) ** np.arange(n + 1)
-    # (x_k - x_j) with ones on the diagonal to avoid dividing by zero
-    dx = x[:, None] - x[None, :] + np.eye(n + 1)
-    D = (r[:, None] / r[None, :]) * (sign[:, None] * sign[None, :]) / dx
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    return D
-
-
-def spectral_diff_matrix(n: int) -> BandedComplexMatrix:
-    """Differentiation matrix B acting on Chebyshev coefficients.
-
-    B[i, j] = 2j/r_i for j > i with i + j odd, zero otherwise, where
-    r_0 = 2 and r_i = 1 for i > 0. Strictly upper triangular; returned
-    in banded storage with upper bandwidth n.
-    """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    B = BandedComplexMatrix(n + 1, kl=0, ku=n)
-    for k in range(1, n + 1):  # band offset
-        band = np.zeros(n + 1 - k, dtype=complex)
-        if k % 2 == 1:
-            # entries (i, i+k) are nonzero for every row i
-            i = np.arange(n + 1 - k)
-            band[:] = 2.0 * (i + k)
-            band[0] = float(k)  # row 0 carries the half weight r_0 = 2
-        B.set_band(k, band)
-    return B
 
 
 def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:

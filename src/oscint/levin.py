@@ -17,6 +17,8 @@ falls back to the reference quadrature and reports
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,6 +87,15 @@ class SolvePath(enum.Enum):
     QUADRATURE = "quadrature"
 
 
+def _check_degree(n: int) -> None:
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"degree must be an integer, got {n!r}") from None
+    if n < 2:
+        raise ValueError(f"degree must be >= 2, got {n}")
+
+
 @dataclass(frozen=True)
 class IntegralProblem:
     """Standard-form problem: amplitude f on [-1, 1], frequency omega, degree n."""
@@ -94,13 +105,14 @@ class IntegralProblem:
     n: int
 
     def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if self.omega == 0:
             raise ZeroFrequencyError(
                 "omega = 0: the integrand does not oscillate; "
                 "use a non-oscillatory quadrature"
             )
-        if self.n < 2:
-            raise ValueError(f"degree must be >= 2, got {self.n}")
+        _check_degree(self.n)
 
 
 @dataclass(frozen=True)
@@ -140,8 +152,7 @@ def assemble_G(omega: float, n: int) -> BandedComplexMatrix:
             "omega = 0: the Levin system has a zero diagonal; "
             "use a non-oscillatory quadrature"
         )
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
+    _check_degree(n)
     iw = 1j * omega
     G = BandedComplexMatrix(n + 1, kl=0, ku=2)
     G.set_band(0, np.full(n + 1, iw))
@@ -216,8 +227,7 @@ def solve_coefficients(
         # equations square the conditioning, and where that still
         # leaves headroom (kappa(H)*eps < 1) a single corrected solve
         # recovers coefficient accuracy at the original kappa(G) level.
-        _, y_corr = normal_system(G, rhs - G.matvec(c))
-        c = c + lu_solve(factors, y_corr)
+        c = c + lu_solve(factors, G.rmatvec(rhs - G.matvec(c)))
     if not np.all(np.isfinite(c)):
         raise SolverOverflowError(
             f"{path.value} solve overflowed at n/|omega| = "
@@ -263,8 +273,11 @@ def integrate_on_interval(
     from the reference quadrature, with path ``QUADRATURE`` and a NaN
     residual.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
     if not a < b:
         raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
+    _check_degree(n)
     half = (b - a) / 2
     mid = (b + a) / 2
     omega_eff = omega * half

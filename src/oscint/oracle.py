@@ -1,5 +1,6 @@
 """Ground-truth engines: dense collocation solve, oscillation-aware
-reference quadrature, and the built-in example catalog.
+reference quadrature, the dense transform and differentiation matrices
+they are built from, and the built-in example catalog.
 
 These are deliberately simple and may be orders of magnitude slower
 than the banded solver; they exist to validate it and to supply exact
@@ -14,12 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chebyshev import (
-    SpectralCoefficients,
-    gauss_lobatto_nodes,
-    spectral_diff_matrix,
-    transform_matrix,
-)
+from .chebyshev import ChebyshevGrid, SpectralCoefficients, gauss_lobatto_nodes
 from .levin import IntegralProblem
 
 __all__ = [
@@ -29,6 +25,9 @@ __all__ = [
     "oscillatory_reference_quadrature",
     "builtin_examples",
     "get_example",
+    "transform_matrix",
+    "physical_diff_matrix",
+    "spectral_diff_matrix",
 ]
 
 _MAX_ORACLE_DEGREE = 256
@@ -48,6 +47,55 @@ class AccuracyNotReachedError(RuntimeError):
         self.error_estimate = error_estimate
 
 
+def transform_matrix(grid: ChebyshevGrid) -> np.ndarray:
+    """Matrix T with T[j, k] = T_k(x_j), by the three-term recurrence.
+
+    Maps a coefficient vector to the vector of series values on the
+    grid. Dense; intended for moderate n and for oracle checks.
+    """
+    n = grid.n
+    T = np.empty((n + 1, n + 1))
+    T[:, 0] = 1.0
+    T[:, 1] = grid.nodes
+    for k in range(1, n):
+        T[:, k + 1] = 2.0 * grid.nodes * T[:, k] - T[:, k - 1]
+    return T
+
+
+def physical_diff_matrix(grid: ChebyshevGrid) -> np.ndarray:
+    """Differentiation matrix acting on function samples at the nodes.
+
+    Off-diagonal entries (r_k/r_j)(-1)^(k+j)/(x_k - x_j) with endpoint
+    weights r_0 = r_n = 2; the diagonal is the negative row sum, which
+    forces exact differentiation of constants.
+    """
+    n = grid.n
+    x = grid.nodes
+    r = np.ones(n + 1)
+    r[0] = r[n] = 2.0
+    sign = (-1.0) ** np.arange(n + 1)
+    # (x_k - x_j) with ones on the diagonal to avoid dividing by zero
+    dx = x[:, None] - x[None, :] + np.eye(n + 1)
+    D = (r[:, None] / r[None, :]) * (sign[:, None] * sign[None, :]) / dx
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return D
+
+
+def spectral_diff_matrix(n: int) -> np.ndarray:
+    """Differentiation matrix B acting on Chebyshev coefficients.
+
+    B[i, j] = 2j/r_i for j > i with i + j odd, zero otherwise, where
+    r_0 = 2 and r_i = 1 for i > 0. Strictly upper triangular and dense.
+    """
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
+    i, j = np.indices((n + 1, n + 1))
+    B = np.where((j > i) & ((i + j) % 2 == 1), 2.0 * j, 0.0)
+    B[0] /= 2  # row 0 carries the half weight r_0 = 2
+    return B
+
+
 def dense_collocation_solve(problem: IntegralProblem) -> SpectralCoefficients:
     """Solve the full dense collocation system T (B + i*omega*E) c = f.
 
@@ -59,7 +107,7 @@ def dense_collocation_solve(problem: IntegralProblem) -> SpectralCoefficients:
         raise ValueError(f"dense oracle is limited to n <= {_MAX_ORACLE_DEGREE}")
     grid = gauss_lobatto_nodes(n)
     T = transform_matrix(grid)
-    B = spectral_diff_matrix(n).to_dense()
+    B = spectral_diff_matrix(n)
     A = T @ (B + 1j * problem.omega * np.eye(n + 1))
     f = np.asarray(problem.amplitude(grid.nodes), dtype=complex)
     f = np.broadcast_to(f, grid.nodes.shape).astype(complex)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_banded, solve_triangular
 
-from oscint import (
+from oscint import assemble_G
+from oscint.banded import (
     BandedComplexMatrix,
     SingularMatrixError,
-    assemble_G,
     banded_lu_partial_pivot,
     lu_solve,
     normal_system,
@@ -33,22 +33,58 @@ def spec_example_G():
     return G
 
 
-class TestStorage:
-    def test_out_of_band_is_zero(self):
-        M = random_banded(np.random.default_rng(0), 6, 1, 2)
-        assert M.entry(5, 0) == 0 and M.entry(0, 4) == 0
+def random_shape(rng):
+    dim = int(rng.integers(1, 14))
+    return dim, int(rng.integers(0, dim)), int(rng.integers(0, dim))
 
-    def test_dense_round_trip(self):
-        rng = np.random.default_rng(1)
-        M = random_banded(rng, 7, 2, 3)
-        back = BandedComplexMatrix.from_dense(M.to_dense(), 2, 3)
-        np.testing.assert_array_equal(back.to_dense(), M.to_dense())
+
+class TestStorage:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_layout_matches_solve_banded(self, seed):
+        # oracle: scipy's banded solver reads the lower kl + ku + 1 rows
+        # of ab as its own (kl, ku) storage
+        rng = np.random.default_rng(seed)
+        dim, kl, ku = random_shape(rng)
+        M = random_banded(rng, dim, kl, ku, diag_boost=3.0)
+        assert M.ab.shape == (2 * kl + ku + 1, dim)
+        assert not M.ab[:kl].any()
+        b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        np.testing.assert_allclose(
+            solve_banded((kl, ku), M.ab[kl:], b),
+            np.linalg.solve(M.to_dense(), b),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        with pytest.raises(ValueError):
+            M.band(ku + 1)
+        with pytest.raises(ValueError):
+            M.band(-kl - 1)
+
+    def test_band_is_a_view(self):
+        M = BandedComplexMatrix(4, 1, 2)
+        M.band(1)[2] = 7j
+        M.set_band(-1, [1, 2, 3])
+        dense = M.to_dense()
+        assert dense[2, 3] == 7j and dense[3, 2] == 3
+        assert np.count_nonzero(dense) == 4
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(2)
         M = random_banded(rng, 9, 2, 4)
         x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         np.testing.assert_allclose(M.matvec(x), M.to_dense() @ x, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rmatvec_matches_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        dim, kl, ku = random_shape(rng)
+        M = random_banded(rng, dim, kl, ku)
+        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        np.testing.assert_allclose(
+            M.rmatvec(x), M.to_dense().conj().T @ x, rtol=1e-13, atol=1e-13
+        )
+        with pytest.raises(ValueError):
+            M.rmatvec(np.ones(dim + 1))
 
     def test_bad_bandwidths(self):
         with pytest.raises(ValueError):
@@ -113,9 +149,9 @@ class TestBandedLU:
 
     def test_zero_leading_entry_needs_pivot(self):
         # unpivoted elimination would divide by zero here
-        M = BandedComplexMatrix.from_dense(
-            np.array([[0, 1], [1, 0]], dtype=complex), 1, 1
-        )
+        M = BandedComplexMatrix(2, 1, 1)
+        M.set_band(1, [1.0])
+        M.set_band(-1, [1.0])
         x = lu_solve(banded_lu_partial_pivot(M), np.array([2.0, 3.0]))
         np.testing.assert_allclose(x, [3.0, 2.0], atol=1e-14)
 
@@ -189,10 +225,11 @@ class TestNormalSystem:
 
     def test_hand_worked_entries(self):
         H, y = normal_system(spec_example_G(), np.zeros(3))
-        assert H.entry(0, 0) == 25
-        assert H.entry(1, 1) == 26
-        assert H.entry(2, 2) == 54
-        assert H.entry(0, 1) == -5j
+        Hd = H.to_dense()
+        assert Hd[0, 0] == 25
+        assert Hd[1, 1] == 26
+        assert Hd[2, 2] == 54
+        assert Hd[0, 1] == -5j
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_product(self, seed):

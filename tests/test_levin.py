@@ -19,8 +19,8 @@ from oscint import (
     integrate_on_interval,
     integrate_standard,
     solve_coefficients,
-    spectral_diff_matrix,
 )
+from oscint.oracle import spectral_diff_matrix
 
 TABLE_1 = {
     1: 0.9113301035062809891 - 0.1775799622517861791j,
@@ -61,14 +61,14 @@ class TestAssembleG:
         np.testing.assert_array_equal(G.band(2), sup2)
 
     def test_last_row_single_nonzero(self):
-        G = assemble_G(5.0, 6)
-        assert G.entry(6, 6) == 5j
-        assert G.entry(6, 5) == 0  # lower band unrepresentable anyway
+        G = assemble_G(5.0, 6).to_dense()
+        assert G[6, 6] == 5j
+        assert G[6, 5] == 0  # lower band unrepresentable anyway
 
     @pytest.mark.parametrize("omega,n", [(5.0, 4), (2.5, 9), (30.0, 16)])
     def test_equals_compressed_triangular_system(self, omega, n):
         # oracle: dense product of the row compressor with B + i*omega*E
-        B = spectral_diff_matrix(n).to_dense()
+        B = spectral_diff_matrix(n)
         A = B + 1j * omega * np.eye(n + 1)
         expected = band_compressor(n) @ A
         np.testing.assert_allclose(
@@ -306,6 +306,19 @@ class TestIntegrateOnInterval:
         with pytest.raises(ValueError):
             integrate_on_interval(lambda x: x, 5.0, 1.0, -1.0, 8)
 
+    @pytest.mark.parametrize("a,b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+    def test_non_finite_endpoint_rejected_before_sampling(self, a, b):
+        sampled = []
+
+        def f(x):
+            sampled.append(x)
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError, match="endpoints must be finite") as err:
+            integrate_on_interval(f, 5.0, a, b, 30)
+        assert type(err.value) is ValueError
+        assert not sampled
+
     def test_zero_effective_frequency_falls_back_to_quadrature(self):
         result = integrate_on_interval(lambda x: x**2, 0.0, 0.0, 1.0, 8)
         assert abs(result.value - 1.0 / 3.0) < 1e-12
@@ -318,3 +331,21 @@ def test_problem_validation():
         IntegralProblem(lambda x: x, 0.0, 8)
     with pytest.raises(ValueError):
         IntegralProblem(lambda x: x, 5.0, 1)
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+def test_non_finite_omega_rejected(omega):
+    with pytest.raises(ValueError, match="omega must be finite") as err:
+        IntegralProblem(lambda x: x, omega, 8)
+    assert type(err.value) is ValueError
+
+
+def test_non_integer_degree_rejected():
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        IntegralProblem(lambda x: x, 5.0, 30.0)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        integrate_on_interval(lambda x: x, 5.0, -1.0, 1.0, 30.0)
+    with pytest.raises(ValueError, match="degree must be an integer"):
+        integrate_on_interval(lambda x: x, 0.0, 0.0, 1.0, 30.0)  # quadrature
+    result = integrate_standard(IntegralProblem(np.exp, 5.0, np.int64(30)))
+    assert result.n_used == 30
