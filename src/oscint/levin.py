@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,6 +33,7 @@ from .banded import (
 from .chebyshev import (
     ChebyshevGrid,
     SpectralCoefficients,
+    check_degree,
     endpoint_values,
     forward_coefficients,
     gauss_lobatto_nodes,
@@ -87,15 +87,6 @@ class SolvePath(enum.Enum):
     QUADRATURE = "quadrature"
 
 
-def _check_degree(n: int) -> None:
-    try:
-        operator.index(n)
-    except TypeError:
-        raise ValueError(f"degree must be an integer, got {n!r}") from None
-    if n < 2:
-        raise ValueError(f"degree must be >= 2, got {n}")
-
-
 @dataclass(frozen=True)
 class IntegralProblem:
     """Standard-form problem: amplitude f on [-1, 1], frequency omega, degree n."""
@@ -112,7 +103,7 @@ class IntegralProblem:
                 "omega = 0: the integrand does not oscillate; "
                 "use a non-oscillatory quadrature"
             )
-        _check_degree(self.n)
+        check_degree(self.n, 2)
 
 
 @dataclass(frozen=True)
@@ -152,7 +143,7 @@ def assemble_G(omega: float, n: int) -> BandedComplexMatrix:
             "omega = 0: the Levin system has a zero diagonal; "
             "use a non-oscillatory quadrature"
         )
-    _check_degree(n)
+    check_degree(n, 2)
     iw = 1j * omega
     G = BandedComplexMatrix(n + 1, kl=0, ku=2)
     G.set_band(0, np.full(n + 1, iw))
@@ -166,9 +157,17 @@ def assemble_G(omega: float, n: int) -> BandedComplexMatrix:
 
 
 def _sample_amplitude(problem: IntegralProblem, grid: ChebyshevGrid) -> np.ndarray:
-    fv = np.asarray(problem.amplitude(grid.nodes), dtype=complex)
+    """Amplitude at the nodes: float64 if its values are real, else complex128.
+
+    Real samples stay real so that :func:`forward_coefficients` takes one
+    real DCT instead of a complex transform.
+    """
+    fv = np.asarray(problem.amplitude(grid.nodes))
+    dtype = float if fv.dtype.kind in "biuf" else complex
     if fv.shape != grid.nodes.shape:
-        fv = np.broadcast_to(fv, grid.nodes.shape).astype(complex)
+        fv = np.broadcast_to(fv, grid.nodes.shape).astype(dtype)
+    else:
+        fv = fv.astype(dtype, copy=False)
     bad = ~np.isfinite(fv)
     if bad.any():
         raise AmplitudeSamplingError(float(grid.nodes[int(np.argmax(bad))]))
@@ -277,7 +276,7 @@ def integrate_on_interval(
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
     if not a < b:
         raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
-    _check_degree(n)
+    check_degree(n, 2)
     half = (b - a) / 2
     mid = (b + a) / 2
     omega_eff = omega * half

@@ -9,6 +9,7 @@ values for convergence studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -160,8 +161,12 @@ def oscillatory_reference_quadrature(
 
     The initial panel width is at most pi/(4|omega|) so every panel
     resolves the oscillation; panel count doubles until two successive
-    refinements agree within ``tol``.
+    refinements agree within ``tol``. Raises ``ValueError`` naming the
+    argument when ``a``, ``b`` or ``omega`` is not finite.
     """
+    for name, value in (("a", a), ("b", b), ("omega", omega)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not a < b:
         raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
     if tol < 1e-14:

@@ -36,6 +36,17 @@ class TestGaussLobattoNodes:
         with pytest.raises(ValueError):
             gauss_lobatto_nodes(0)
 
+    @pytest.mark.parametrize("n", [30.0, np.float64(4.0), "8"])
+    def test_non_integer_degree(self, n):
+        with pytest.raises(ValueError, match="degree must be an integer") as err:
+            gauss_lobatto_nodes(n)
+        assert type(err.value) is ValueError
+
+    def test_numpy_integer_degree(self):
+        grid = gauss_lobatto_nodes(np.int64(4))
+        assert grid.n == 4
+        assert grid.nodes.tolist() == gauss_lobatto_nodes(4).nodes.tolist()
+
 
 class TestTransformMatrix:
     def test_n1(self):
@@ -150,6 +161,29 @@ class TestForwardCoefficients:
         gamma[0] = gamma[n] = 1.0 / n
         expected = gamma * (T.T @ (w * f))
         np.testing.assert_allclose(forward_coefficients(f, grid), expected, atol=1e-13)
+
+    # power-of-two, small odd and prime lengths; 1009 and 4099 are primes,
+    # whose 2n-long transforms pocketfft runs as Bluestein convolutions
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 97, 1009, 4099])
+    def test_matches_dense_oracle(self, n):
+        # oracle: half-weighted sums through the dense T matrix, for real
+        # samples and for complex ones
+        grid = gauss_lobatto_nodes(n)
+        T = transform_matrix(grid)
+        w = np.ones(n + 1)
+        w[0] = w[n] = 0.5
+        gamma = np.full(n + 1, 2.0 / n)
+        gamma[0] = gamma[n] = 1.0 / n
+        rng = np.random.default_rng(n)
+        re, im = rng.standard_normal((2, n + 1))
+        for f in (re, re + 1j * im):
+            # two real products: T stays float64 instead of a complex copy
+            expected = gamma * (T.T @ (w * f.real) + 1j * (T.T @ (w * f.imag)))
+            got = forward_coefficients(f, grid)
+            assert got.dtype == np.complex128
+            np.testing.assert_allclose(
+                got, expected, rtol=0, atol=1e-13 * np.max(np.abs(f))
+            )
 
 
 class TestEndpointValues:

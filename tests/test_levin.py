@@ -326,6 +326,78 @@ class TestIntegrateOnInterval:
         assert np.isnan(result.residual_norm)
 
 
+class TestAmplitudeDtype:
+    """Real samples stay real and take one real DCT; complex ones one FFT."""
+
+    @pytest.mark.parametrize(
+        "omega,path",
+        [(50.0, SolvePath.DIRECT_TRIANGULAR), (5.0, SolvePath.NORMAL_EQUATIONS)],
+    )
+    def test_real_and_complex_dtype_agree(self, omega, path):
+        real = integrate_on_interval(lambda x: 1 / (x + 2), omega, -1.0, 1.0, 30)
+        as_complex = integrate_on_interval(
+            lambda x: (1 / (x + 2)).astype(complex), omega, -1.0, 1.0, 30
+        )
+        assert real.path is as_complex.path is path
+        assert abs(real.value - as_complex.value) <= 1e-14 * abs(as_complex.value)
+
+    @pytest.mark.parametrize(
+        "amplitude",
+        [
+            lambda x: 1.0,
+            lambda x: 1,
+            lambda x: np.ones_like(x, dtype=int),
+            lambda x: np.ones_like(x, dtype=np.float32),
+            lambda x: np.True_,
+        ],
+        ids=["float", "int", "int-array", "float32-array", "bool"],
+    )
+    @pytest.mark.parametrize("omega", [5.0, 50.0])
+    def test_scalar_and_integer_amplitudes_broadcast(self, amplitude, omega):
+        # int_0^2 exp(i omega x) dx
+        result = integrate_on_interval(amplitude, omega, 0.0, 2.0, 30)
+        exact = (np.exp(2j * omega) - 1) / (1j * omega)
+        assert abs(result.value - exact) <= 1e-13 * abs(exact)
+
+    def test_nan_in_real_samples_reports_node(self):
+        def amp(x):
+            return np.where(x == 0.0, np.nan, 1.0)  # NaN at the midpoint node
+
+        with pytest.raises(AmplitudeSamplingError) as err:
+            integrate_standard(IntegralProblem(amp, 5.0, 4))
+        assert err.value.node == 0.0
+
+    @pytest.mark.parametrize(
+        "amplitude,transform",
+        [
+            (lambda x: 1 / (x + 2), "dct"),
+            (lambda x: 1, "dct"),
+            (lambda x: np.exp((0.5 + 1j) * x), "fft"),
+            (lambda x: (1 / (x + 2)).astype(complex), "fft"),
+        ],
+        ids=["real", "int-scalar", "complex", "complex-dtype"],
+    )
+    @pytest.mark.parametrize("omega", [5.0, 500.0])
+    def test_one_transform_per_integral(self, monkeypatch, amplitude, transform, omega):
+        import oscint.chebyshev as chebyshev_mod
+
+        calls = {"dct": 0, "fft": 0}
+
+        def counted(name):
+            inner = getattr(chebyshev_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(chebyshev_mod, name, counted(name))
+        integrate_on_interval(amplitude, omega, 0.0, 3.0, 97)
+        assert calls == {"dct": 0, "fft": 0, transform: 1}
+
+
 def test_problem_validation():
     with pytest.raises(ZeroFrequencyError):
         IntegralProblem(lambda x: x, 0.0, 8)

@@ -66,6 +66,28 @@ class TestReferenceQuadrature:
         with pytest.raises(ValueError):
             oscillatory_reference_quadrature(lambda x: x, 1.0, 1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "a,b,omega,name",
+        [
+            (-1.0, np.inf, 1.0, "b"),
+            (-np.inf, 1.0, 1.0, "a"),
+            (np.nan, 1.0, 1.0, "a"),
+            (-1.0, 1.0, np.nan, "omega"),
+            (-1.0, 1.0, -np.inf, "omega"),
+        ],
+    )
+    def test_non_finite_argument_rejected(self, a, b, omega, name):
+        sampled = []
+
+        def f(x):
+            sampled.append(x)
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+            oscillatory_reference_quadrature(f, omega, a, b)
+        assert type(err.value) is ValueError
+        assert not sampled
+
     def test_unattainable_tolerance_rejected(self):
         with pytest.raises(ValueError):
             oscillatory_reference_quadrature(lambda x: x, 1.0, -1.0, 1.0, tol=1e-16)
