@@ -13,7 +13,8 @@ residual of the bandwidth-2 system for each, across the n/omega ratio.
 
 import numpy as np
 
-from oscint import IntegralProblem, SolvePath, integrate_standard, solve_coefficients
+from oscint import IntegralProblem, SolvePath, integrate_standard
+from oscint.levin import solve_coefficients
 
 amplitude = lambda x: 1.0 / (x + 2.0)
 

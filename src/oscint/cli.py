@@ -15,30 +15,16 @@ import sys
 import numpy as np
 
 from .expr import ParseError, parse_amplitude
-from .levin import (
-    AmplitudeSamplingError,
-    SolverOverflowError,
-    ZeroFrequencyError,
-    integrate_on_interval,
-)
-from .banded import SingularMatrixError
+from .levin import ZeroFrequencyError, integrate_on_interval
 from .oracle import (
     AccuracyNotReachedError,
     get_example,
     oscillatory_reference_quadrature,
 )
-from .phase import InversionError, NonMonotonePhaseError, PhaseSpec, substitute
+from .phase import InversionError, PhaseSpec, substitute
 
-_SOLVER_ERRORS = (
-    ZeroFrequencyError,
-    AmplitudeSamplingError,
-    SingularMatrixError,
-    SolverOverflowError,
-    AccuracyNotReachedError,
-    NonMonotonePhaseError,
-    InversionError,
-    ValueError,
-)
+# every other solver error subclasses ValueError
+_SOLVER_ERRORS = (ValueError, AccuracyNotReachedError, InversionError)
 
 
 def _fmt(x: float) -> str:

@@ -10,7 +10,8 @@ normal equations by LAPACK's pivoted band LU (``zgbtrf``/``zgbtrs``)
 with one refinement pass otherwise (back-substitution can amplify
 rounding errors once n exceeds |omega|; see :func:`assemble_G`).
 Below a negligible effective frequency, :func:`integrate_on_interval`
-falls back to the reference quadrature and reports
+solves no system: it sums the Clenshaw-Curtis weights against the
+Chebyshev coefficients of the same n+1 samples and reports
 :attr:`SolvePath.QUADRATURE`.
 """
 
@@ -60,8 +61,8 @@ Amplitude = Callable[[np.ndarray], np.ndarray]
 class ZeroFrequencyError(ValueError):
     """The Levin system is undefined at omega = 0 (the diagonal vanishes).
 
-    Use an ordinary quadrature, e.g.
-    :func:`oscint.oracle.oscillatory_reference_quadrature`, instead.
+    :func:`integrate_on_interval` accepts omega = 0: it integrates the
+    amplitude's interpolant by Clenshaw-Curtis instead.
     """
 
 
@@ -156,21 +157,22 @@ def assemble_G(omega: float, n: int) -> BandedComplexMatrix:
     return G
 
 
-def _sample_amplitude(problem: IntegralProblem, grid: ChebyshevGrid) -> np.ndarray:
+def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
     """Amplitude at the nodes: float64 if its values are real, else complex128.
 
     Real samples stay real so that :func:`forward_coefficients` takes one
-    real DCT instead of a complex transform.
+    real DCT instead of a complex transform. A non-finite sample raises
+    :class:`AmplitudeSamplingError` naming its node.
     """
-    fv = np.asarray(problem.amplitude(grid.nodes))
+    fv = np.asarray(amplitude(nodes))
     dtype = float if fv.dtype.kind in "biuf" else complex
-    if fv.shape != grid.nodes.shape:
-        fv = np.broadcast_to(fv, grid.nodes.shape).astype(dtype)
+    if fv.shape != nodes.shape:
+        fv = np.broadcast_to(fv, nodes.shape).astype(dtype)
     else:
         fv = fv.astype(dtype, copy=False)
     bad = ~np.isfinite(fv)
     if bad.any():
-        raise AmplitudeSamplingError(float(grid.nodes[int(np.argmax(bad))]))
+        raise AmplitudeSamplingError(float(nodes[int(np.argmax(bad))]))
     return fv
 
 
@@ -183,7 +185,7 @@ def assemble_rhs(problem: IntegralProblem, grid: ChebyshevGrid) -> np.ndarray:
     """
     if grid.n != problem.n:
         raise ValueError("grid degree does not match problem degree")
-    c = forward_coefficients(_sample_amplitude(problem, grid), grid)
+    c = forward_coefficients(_sample_amplitude(problem.amplitude, grid.nodes), grid)
     n = grid.n
     rhs = c.copy()
     rhs[0] -= c[2] / 2
@@ -251,7 +253,7 @@ def integrate_standard(
 
 
 # Effective frequencies below this are not oscillatory at all; the Levin
-# diagonal would be numerically zero, so hand off to the reference quadrature.
+# diagonal would be numerically zero, so integrate the interpolant instead.
 _MIN_EFFECTIVE_OMEGA = 1e-14
 
 
@@ -268,9 +270,11 @@ def integrate_on_interval(
     The interval is mapped onto [-1, 1]; the effective frequency
     becomes omega*(b-a)/2 and the constant phase shift
     exp(i*omega*(b+a)/2) multiplies the result. Below a negligible
-    effective frequency no banded system is solved: the result comes
-    from the reference quadrature, with path ``QUADRATURE`` and a NaN
-    residual.
+    effective frequency (|omega*(b-a)/2| < 1e-14) no banded system is
+    solved: the result is the Clenshaw-Curtis sum over the same n+1
+    Gauss-Lobatto samples, i.e. the exact integral of their degree-n
+    interpolant, with path ``QUADRATURE`` and a NaN residual. As on the
+    other paths, ``n`` bounds how much of the amplitude is resolved.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
@@ -281,11 +285,17 @@ def integrate_on_interval(
     mid = (b + a) / 2
     omega_eff = omega * half
     if abs(omega_eff) < _MIN_EFFECTIVE_OMEGA:
-        from .oracle import oscillatory_reference_quadrature
-
-        value = oscillatory_reference_quadrature(amplitude, omega, a, b, tol=1e-13)
+        grid = gauss_lobatto_nodes(n)
+        samples = _sample_amplitude(amplitude, half * grid.nodes + mid)
+        c = forward_coefficients(samples, grid)
+        # int_{-1}^{1} T_k = 2/(1-k^2) for even k, 0 for odd k
+        k = np.arange(0, n + 1, 2)
+        value = half * np.exp(1j * omega * mid) * np.sum(c[::2] * (2.0 / (1 - k**2)))
         return IntegralResult(
-            value=value, path=SolvePath.QUADRATURE, n_used=n, residual_norm=float("nan")
+            value=complex(value),
+            path=SolvePath.QUADRATURE,
+            n_used=n,
+            residual_norm=float("nan"),
         )
 
     def mapped(t):

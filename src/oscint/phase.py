@@ -154,7 +154,7 @@ def substitute(
     call of the transformed amplitude inverts all its points in one
     :func:`numeric_inverse` (or ``phase.inverse``) call and raises
     :class:`NonMonotonePhaseError` if g' at any preimage is zero or of
-    the wrong sign.
+    the wrong sign. Its values are real where the amplitude's are.
     """
     a, b = phase.bracket
     sign = _check_monotone(phase)
@@ -175,7 +175,7 @@ def substitute(
                 f"phase derivative is {dg[wrong][0]} at x = {x[wrong][0]}, "
                 f"not of the sign it has on the probes of [{a}, {b}]"
             )
-        out = sign * np.asarray(amplitude(x), dtype=complex) / dg
+        out = sign * np.asarray(amplitude(x)) / dg
         return out[0] if y.ndim == 0 else out
 
     return transformed, (float(lo), float(hi)), omega

@@ -15,17 +15,20 @@ from oscint import (
     IntegralProblem,
     PhaseSpec,
     SolvePath,
-    assemble_G,
-    dense_collocation_solve,
-    gauss_lobatto_nodes,
     get_example,
     integrate_on_interval,
     integrate_standard,
     oscillatory_reference_quadrature,
-    solve_coefficients,
     substitute,
 )
-from oscint.oracle import physical_diff_matrix, spectral_diff_matrix, transform_matrix
+from oscint.chebyshev import gauss_lobatto_nodes
+from oscint.levin import assemble_G, solve_coefficients
+from oscint.oracle import (
+    dense_collocation_solve,
+    physical_diff_matrix,
+    spectral_diff_matrix,
+    transform_matrix,
+)
 
 TABLE_1 = {
     1.0: 0.9113301035062809891 - 0.1775799622517861791j,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded, solve_triangular
 
-from oscint import assemble_G
+from oscint.levin import assemble_G
 from oscint.banded import (
     BandedComplexMatrix,
     SingularMatrixError,

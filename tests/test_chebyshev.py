@@ -2,7 +2,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
 
-from oscint import (
+from oscint.chebyshev import (
     SpectralCoefficients,
     endpoint_values,
     forward_coefficients,

@@ -8,24 +8,42 @@ import pytest
 from oscint import (
     AmplitudeSamplingError,
     IntegralProblem,
+    PhaseSpec,
     SolvePath,
     SolverOverflowError,
     ZeroFrequencyError,
-    assemble_G,
-    assemble_rhs,
-    dense_collocation_solve,
-    forward_coefficients,
-    gauss_lobatto_nodes,
     integrate_on_interval,
     integrate_standard,
-    solve_coefficients,
+    substitute,
 )
-from oscint.oracle import spectral_diff_matrix
+from oscint.chebyshev import forward_coefficients, gauss_lobatto_nodes
+from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
+from oscint.oracle import dense_collocation_solve, spectral_diff_matrix
 
 TABLE_1 = {
     1: 0.9113301035062809891 - 0.1775799622517861791j,
     10: -0.07854759997855625023 - 0.04871911238563061052j,
 }
+
+
+def count_transforms(monkeypatch):
+    """Count the ``dct`` and ``fft`` calls made through ``oscint.chebyshev``."""
+    import oscint.chebyshev as chebyshev_mod
+
+    calls = {"dct": 0, "fft": 0}
+
+    def counted(name):
+        inner = getattr(chebyshev_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(chebyshev_mod, name, counted(name))
+    return calls
 
 
 def band_compressor(n):
@@ -325,6 +343,42 @@ class TestIntegrateOnInterval:
         assert result.path is SolvePath.QUADRATURE
         assert np.isnan(result.residual_norm)
 
+    @pytest.mark.parametrize("n", [8, 9])
+    @pytest.mark.parametrize("omega", [0.0, 1e-20, -1e-15])
+    def test_zero_frequency_integrates_the_solver_samples(self, monkeypatch, omega, n):
+        import oscint.oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference quadrature was called")
+
+        monkeypatch.setattr(oscint.oracle, "oscillatory_reference_quadrature", refuse)
+        # degree 8 <= n, so Clenshaw-Curtis on the n+1 nodes is exact
+        p = np.polynomial.Polynomial([-1.0, 0.5, 2.0, 0.0, 0.0, -1.0, 0.0, 0.25, 3.0])
+        a, b = -1.5, 2.0
+        result = integrate_on_interval(p, omega, a, b, n)
+        exact = p.integ()(b) - p.integ()(a)
+        assert result.path is SolvePath.QUADRATURE
+        assert result.n_used == n
+        assert np.isnan(result.residual_norm)
+        assert abs(result.value - exact) <= 1e-14 * abs(exact)
+
+    def test_zero_frequency_keeps_the_midpoint_phase(self):
+        # omega*(b-a)/2 = 1e-15 is negligible, omega*mid = 1e-9 is not
+        omega, a, b = 1e-15, 1e6, 1e6 + 2
+        mid = (a + b) / 2
+        result = integrate_on_interval(lambda x: x, omega, a, b, 8)
+        expected = 2 * np.exp(1j * omega * mid) * mid  # int_a^b x dx = 2*mid
+        assert result.path is SolvePath.QUADRATURE
+        assert abs(result.value - expected) <= 1e-14 * abs(expected)
+
+    def test_zero_frequency_non_finite_sample_reports_node(self):
+        def amp(x):
+            return np.where(x == 0.5, np.nan, 1.0)  # NaN at the midpoint node
+
+        with pytest.raises(AmplitudeSamplingError) as err:
+            integrate_on_interval(amp, 0.0, 0.0, 1.0, 8)
+        assert err.value.node == 0.5
+
 
 class TestAmplitudeDtype:
     """Real samples stay real and take one real DCT; complex ones one FFT."""
@@ -377,25 +431,27 @@ class TestAmplitudeDtype:
         ],
         ids=["real", "int-scalar", "complex", "complex-dtype"],
     )
-    @pytest.mark.parametrize("omega", [5.0, 500.0])
+    @pytest.mark.parametrize("omega", [5.0, 500.0, 0.0])
     def test_one_transform_per_integral(self, monkeypatch, amplitude, transform, omega):
-        import oscint.chebyshev as chebyshev_mod
-
-        calls = {"dct": 0, "fft": 0}
-
-        def counted(name):
-            inner = getattr(chebyshev_mod, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(chebyshev_mod, name, counted(name))
+        calls = count_transforms(monkeypatch)
         integrate_on_interval(amplitude, omega, 0.0, 3.0, 97)
         assert calls == {"dct": 0, "fft": 0, transform: 1}
+
+    @staticmethod
+    def _substituted(amplitude):
+        phase = PhaseSpec(g=np.sin, g_prime=np.cos, bracket=(-1.0, 1.0))
+        f, (lo, hi), omega = substitute(amplitude, phase, 10.0)
+        return integrate_on_interval(f, omega, lo, hi, 97)
+
+    def test_substituted_real_amplitude_takes_one_dct(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        self._substituted(lambda x: 1 / (x**2 + 1))
+        assert calls == {"dct": 1, "fft": 0}
+
+    def test_substituted_real_and_complex_dtype_agree(self):
+        real = self._substituted(lambda x: 1 / (x**2 + 1))
+        as_complex = self._substituted(lambda x: (1 / (x**2 + 1)).astype(complex))
+        assert abs(real.value - as_complex.value) <= 1e-14 * abs(as_complex.value)
 
 
 def test_problem_validation():

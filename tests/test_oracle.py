@@ -4,11 +4,11 @@ import pytest
 from oscint import (
     AccuracyNotReachedError,
     IntegralProblem,
-    dense_collocation_solve,
     builtin_examples,
     get_example,
     oscillatory_reference_quadrature,
 )
+from oscint.oracle import dense_collocation_solve
 
 
 class TestDenseCollocationSolve:

@@ -6,9 +6,9 @@ from oscint import (
     NonMonotonePhaseError,
     PhaseSpec,
     integrate_on_interval,
-    numeric_inverse,
     substitute,
 )
+from oscint.phase import numeric_inverse
 
 
 def cubic_phase(bracket=(0.5, 2.0)):
