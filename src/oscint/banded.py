@@ -59,11 +59,8 @@ class BandedComplexMatrix:
         self.kl = kl
         self.ku = ku
         self.ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex)
-
-    def _columns(self) -> list[tuple[int, int, int]]:
-        """(k, lo, hi) per band k: columns lo <= j < hi hold entry (j - k, j)."""
-        dim = self.dim
-        return [(k, max(k, 0), dim + min(k, 0)) for k in range(-self.kl, self.ku + 1)]
+        # (k, lo, hi) per band k: columns lo <= j < hi hold entry (j - k, j)
+        self._columns = [(k, max(k, 0), dim + min(k, 0)) for k in range(-kl, ku + 1)]
 
     def band(self, k: int) -> np.ndarray:
         """Band k as a writable view into ``ab``."""
@@ -88,7 +85,7 @@ class BandedComplexMatrix:
         x = self._vector(x)
         y = np.zeros(self.dim, dtype=complex)
         top = self.kl + self.ku
-        for k, lo, hi in self._columns():
+        for k, lo, hi in self._columns:
             y[lo - k : hi - k] += self.ab[top - k, lo:hi] * x[lo:hi]
         return y
 
@@ -97,13 +94,13 @@ class BandedComplexMatrix:
         x = self._vector(x)
         y = np.zeros(self.dim, dtype=complex)
         top = self.kl + self.ku
-        for k, lo, hi in self._columns():
+        for k, lo, hi in self._columns:
             y[lo:hi] += np.conj(self.ab[top - k, lo:hi]) * x[lo - k : hi - k]
         return y
 
     def to_dense(self) -> np.ndarray:
         M = np.zeros((self.dim, self.dim), dtype=complex)
-        for k, lo, hi in self._columns():
+        for k, lo, hi in self._columns:
             j = np.arange(lo, hi)
             M[j - k, j] = self.band(k)
         return M
@@ -120,7 +117,7 @@ def upper_triangular_backsolve(M: BandedComplexMatrix, rhs: np.ndarray) -> np.nd
     rhs = np.asarray(rhs, dtype=complex)
     if len(rhs) != M.dim:
         raise ValueError("right-hand side length does not match dimension")
-    small = np.abs(M.band(0)) < PIVOT_TOL
+    small = np.abs(M.ab[M.ku]) < PIVOT_TOL
     if small.any():
         i = int(np.argmax(small))
         raise SingularMatrixError(f"zero diagonal entry in row {i}", index=i)
@@ -194,21 +191,23 @@ def normal_system(
     if G.kl != 0 or G.ku != 2:
         raise ValueError("normal_system expects an upper-banded matrix with ku = 2")
     y = G.rmatvec(rhs)
-    d = G.band(0)
-    s1 = G.band(1)
-    s2 = G.band(2)
+    d = G.ab[2]
+    s1 = G.ab[1, 1:]
+    s2 = G.ab[0, 2:]
 
     h0 = np.abs(d) ** 2
     h0[1:] += np.abs(s1) ** 2
     h0[2:] += np.abs(s2) ** 2
-    h1 = np.conj(d[:-1]) * s1
-    h1[1:] += np.conj(s1[:-1]) * s2
-    h2 = np.conj(d[:-2]) * s2
 
+    # bands k = 2, 1, 0, -1, -2 of H are rows 2..6 of its band storage;
+    # rows 0 and 1 stay zero for zgbtrf's fill-in
     H = BandedComplexMatrix(G.dim, kl=2, ku=2)
-    H.set_band(0, h0)
-    H.set_band(1, h1)
-    H.set_band(2, h2)
-    H.set_band(-1, np.conj(h1))
-    H.set_band(-2, np.conj(h2))
+    ab = H.ab
+    h1 = ab[3, 1:]
+    np.multiply(np.conj(d[:-1]), s1, out=h1)
+    h1[1:] += np.conj(s1[:-1]) * s2
+    np.multiply(np.conj(d[:-2]), s2, out=ab[2, 2:])
+    ab[4] = h0
+    np.conj(h1, out=ab[5, :-1])
+    np.conj(ab[2, 2:], out=ab[6, :-2])
     return H, y

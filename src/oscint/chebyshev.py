@@ -16,6 +16,7 @@ transforming the real and imaginary parts separately would cost two.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -54,7 +55,7 @@ class SpectralCoefficients:
     def __post_init__(self):
         if len(self.c) < 1:
             raise ValueError("empty coefficient vector")
-        if not np.all(np.isfinite(self.c)):
+        if not np.isfinite(self.c).all():
             raise ValueError("non-finite Chebyshev coefficient")
 
     @property
@@ -81,8 +82,17 @@ def gauss_lobatto_nodes(n: int) -> ChebyshevGrid:
     The endpoints (and the midpoint for even n) are assigned exactly so
     that the symmetry x_k = -x_{n-k} holds without trigonometric
     round-off. Raises ``ValueError`` unless ``n`` is an integer >= 1.
+
+    The grids of the last four degrees are memoised, so repeated calls
+    with one ``n`` return the same (read-only) grid object.
     """
+    # validate before the lookup: 30.0 hashes like 30 and would hit the memo
     check_degree(n)
+    return _grid(operator.index(n))
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(n: int) -> ChebyshevGrid:
     x = np.cos(np.pi * np.arange(n + 1) / n)
     x[0] = 1.0
     if n % 2 == 0:
@@ -91,7 +101,9 @@ def gauss_lobatto_nodes(n: int) -> ChebyshevGrid:
     half = (n + 1) // 2
     x[n + 1 - half :] = -x[:half][::-1]
     x.flags.writeable = False
-    return ChebyshevGrid(n=n, nodes=x)
+    # a view of a read-only array cannot be made writeable again, so no
+    # caller can alter the memoised nodes through grid.nodes
+    return ChebyshevGrid(n=n, nodes=x.view())
 
 
 def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:
@@ -125,6 +137,6 @@ def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarra
 def endpoint_values(coeffs: SpectralCoefficients) -> tuple[complex, complex]:
     """Values (p(1), p(-1)) of the series with the given coefficients."""
     c = coeffs.c
-    p_plus = complex(np.sum(c))
-    p_minus = complex(np.sum(c[::2]) - np.sum(c[1::2]))
+    p_plus = complex(c.sum())
+    p_minus = complex(c[::2].sum() - c[1::2].sum())
     return p_plus, p_minus

@@ -67,7 +67,11 @@ class ZeroFrequencyError(ValueError):
 
 
 class AmplitudeSamplingError(ValueError):
-    """Amplitude returned a non-finite value at a collocation node."""
+    """Amplitude returned a non-finite value at a collocation node.
+
+    ``node`` is where the caller's amplitude was sampled: a point of
+    [a, b] for :func:`integrate_on_interval`.
+    """
 
     def __init__(self, node: float):
         super().__init__(f"amplitude is not finite at node x = {node!r}")
@@ -147,13 +151,13 @@ def assemble_G(omega: float, n: int) -> BandedComplexMatrix:
     check_degree(n, 2)
     iw = 1j * omega
     G = BandedComplexMatrix(n + 1, kl=0, ku=2)
-    G.set_band(0, np.full(n + 1, iw))
-    sup1 = 2.0 * np.arange(1, n + 1, dtype=float).astype(complex)
-    sup1[0] = 1.0
-    G.set_band(1, sup1)
-    sup2 = np.full(n - 1, -iw)
-    sup2[0] = -iw / 2
-    G.set_band(2, sup2)
+    # band storage: row 2 - k holds band k from column k on
+    ab = G.ab
+    ab[2] = iw
+    ab[1, 1] = 1.0
+    ab[1, 2:] = 2.0 * np.arange(2, n + 1, dtype=float)
+    ab[0, 2] = -iw / 2
+    ab[0, 3:] = -iw
     return G
 
 
@@ -170,8 +174,8 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
         fv = np.broadcast_to(fv, nodes.shape).astype(dtype)
     else:
         fv = fv.astype(dtype, copy=False)
-    bad = ~np.isfinite(fv)
-    if bad.any():
+    if not np.isfinite(fv).all():
+        bad = ~np.isfinite(fv)
         raise AmplitudeSamplingError(float(nodes[int(np.argmax(bad))]))
     return fv
 
@@ -229,13 +233,15 @@ def solve_coefficients(
         # leaves headroom (kappa(H)*eps < 1) a single corrected solve
         # recovers coefficient accuracy at the original kappa(G) level.
         c = c + lu_solve(factors, G.rmatvec(rhs - G.matvec(c)))
-    if not np.all(np.isfinite(c)):
+    try:
+        coeffs = SpectralCoefficients(c=c)
+    except ValueError:  # the only check a length-(n+1) vector can fail
         raise SolverOverflowError(
             f"{path.value} solve overflowed at n/|omega| = "
             f"{problem.n / abs(problem.omega):.3g}"
-        )
-    residual = float(np.max(np.abs(G.matvec(c) - rhs)))
-    return SpectralCoefficients(c=c), path, residual
+        ) from None
+    residual = float(np.abs(G.matvec(c) - rhs).max())
+    return coeffs, path, residual
 
 
 def integrate_standard(
@@ -301,9 +307,13 @@ def integrate_on_interval(
     def mapped(t):
         return amplitude(half * t + mid)
 
-    inner = integrate_standard(
-        IntegralProblem(amplitude=mapped, omega=omega_eff, n=n), force_path
-    )
+    try:
+        inner = integrate_standard(
+            IntegralProblem(amplitude=mapped, omega=omega_eff, n=n), force_path
+        )
+    except AmplitudeSamplingError as err:
+        # the solver sampled at t in [-1, 1]; name the caller's x instead
+        raise AmplitudeSamplingError(half * err.node + mid) from None
     value = half * np.exp(1j * omega * mid) * inner.value
     return IntegralResult(
         value=complex(value),

@@ -254,6 +254,24 @@ class TestNormalSystem:
         assert np.min(np.linalg.eigvalsh(Hd)) > -1e-10
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unused_storage_stays_zero(self, seed):
+        # zgbtrf reads the top kl rows as fill-in room; to_dense cannot see them
+        rng = np.random.default_rng(200 + seed)
+        dim = int(rng.integers(3, 12))
+        G = random_banded(rng, dim, 0, 2)
+        H, _ = normal_system(G, rng.standard_normal(dim) + 0j)
+        ab = H.ab
+        assert ab.shape == (7, dim)
+        assert np.all(ab[:2] == 0)
+        assert np.all(ab[2, :2] == 0)  # band 2 starts at column 2
+        assert ab[3, 0] == 0  # band 1 starts at column 1
+        assert ab[5, -1] == 0  # band -1 ends one column early
+        assert np.all(ab[6, -2:] == 0)  # band -2 ends two columns early
+        Gd = G.to_dense()
+        np.testing.assert_allclose(H.to_dense(), Gd.conj().T @ Gd, atol=1e-12)
+
+
 def test_lu_agrees_with_backsolve_in_direct_regime():
     # both routes are valid when |omega| > n
     G = assemble_G(omega=20.0, n=8)

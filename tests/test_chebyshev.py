@@ -2,6 +2,7 @@ import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
 
+from oscint import chebyshev
 from oscint.chebyshev import (
     SpectralCoefficients,
     endpoint_values,
@@ -46,6 +47,36 @@ class TestGaussLobattoNodes:
         grid = gauss_lobatto_nodes(np.int64(4))
         assert grid.n == 4
         assert grid.nodes.tolist() == gauss_lobatto_nodes(4).nodes.tolist()
+
+
+class TestGridMemo:
+    def test_repeated_degree_returns_the_same_grid(self):
+        assert gauss_lobatto_nodes(64) is gauss_lobatto_nodes(64)
+
+    def test_float_degree_rejected_after_integer_is_cached(self):
+        gauss_lobatto_nodes(30)
+        # 30.0 == 30 and both hash alike: only validation keeps it off the memo
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            gauss_lobatto_nodes(30.0)
+
+    def test_numpy_integer_degree_gives_python_int(self):
+        grid = gauss_lobatto_nodes(np.int64(30))
+        assert type(grid.n) is int and grid.n == 30
+
+    def test_cached_nodes_stay_read_only(self):
+        gauss_lobatto_nodes(17)
+        grid = gauss_lobatto_nodes(17)
+        assert not grid.nodes.flags.writeable
+        with pytest.raises(ValueError):
+            grid.nodes[1] = 0.0
+        with pytest.raises(ValueError):
+            grid.nodes.flags.writeable = True
+
+    def test_memo_holds_at_most_four_grids(self):
+        for n in range(100, 110):
+            gauss_lobatto_nodes(n)
+        assert chebyshev._grid.cache_info().currsize <= 4
+        assert gauss_lobatto_nodes(109) is gauss_lobatto_nodes(109)
 
 
 class TestTransformMatrix:

@@ -78,6 +78,14 @@ class TestAssembleG:
         sup2[0] = -1j * omega / 2
         np.testing.assert_array_equal(G.band(2), sup2)
 
+    @pytest.mark.parametrize("omega,n", [(5.0, 2), (3.0, 7), (40.0, 12)])
+    def test_unused_storage_stays_zero(self, omega, n):
+        # corners of band storage that no entry maps to; to_dense cannot see them
+        ab = assemble_G(omega, n).ab
+        assert ab.shape == (3, n + 1)
+        assert np.all(ab[0, :2] == 0)
+        assert ab[1, 0] == 0
+
     def test_last_row_single_nonzero(self):
         G = assemble_G(5.0, 6).to_dense()
         assert G[6, 6] == 5j
@@ -378,6 +386,21 @@ class TestIntegrateOnInterval:
         with pytest.raises(AmplitudeSamplingError) as err:
             integrate_on_interval(amp, 0.0, 0.0, 1.0, 8)
         assert err.value.node == 0.5
+
+
+    @pytest.mark.parametrize(
+        "omega,path",
+        [(5.0, SolvePath.NORMAL_EQUATIONS), (50.0, SolvePath.DIRECT_TRIANGULAR)],
+    )
+    def test_levin_non_finite_sample_reports_node_in_x(self, omega, path):
+        def amp(x):
+            return np.where(x == 0.5, np.nan, 1.0)  # NaN at the midpoint node
+
+        assert integrate_on_interval(lambda x: 1.0, omega, 0.0, 1.0, 8).path is path
+        with pytest.raises(AmplitudeSamplingError) as err:
+            integrate_on_interval(amp, omega, 0.0, 1.0, 8)
+        assert err.value.node == 0.5
+        assert "x = 0.5" in str(err.value)
 
 
 class TestAmplitudeDtype:
