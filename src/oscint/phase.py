@@ -9,7 +9,7 @@ phase points (g' = 0) are excluded by the monotonicity precondition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,9 @@ __all__ = [
     "numeric_inverse",
 ]
 
-_MONOTONICITY_PROBES = 64
 _MAX_INVERSE_ITERATIONS = 200
+# Chebyshev points of [-1, 1] in ascending order, both ends exact
+_PROBES = -np.cos(np.pi * np.arange(64) / 63)
 
 
 class NonMonotonePhaseError(ValueError):
@@ -41,9 +42,11 @@ class PhaseSpec:
     must work elementwise; a scalar return (e.g. ``lambda x: -1.0``) is
     broadcast to the argument's shape. ``inverse`` is optional; when
     absent, :func:`numeric_inverse` is used. Monotonicity is probed, not
-    proven: :func:`substitute` evaluates g' once at 64 Chebyshev points
-    of the bracket, and the transformed amplitude checks the sign of g'
-    again at every preimage node it samples.
+    proven: :func:`substitute` tabulates g' and g once each at 64
+    Chebyshev points of the bracket (its ends included), requires g' to
+    be of one sign there and g to be ordered in that sign, and the
+    transformed amplitude checks the sign of g' again at every preimage
+    node it samples.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -52,91 +55,111 @@ class PhaseSpec:
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+class _ProbeTable(NamedTuple):
+    """g at the probes of the bracket, oriented so that g increases."""
+
+    sign: float  # sign of g' on the bracket
+    x: np.ndarray  # probes, from the preimage of min g to that of max g
+    g: np.ndarray  # g at ``x``, non-decreasing
+
+
 def _values(fn: Callable, x: np.ndarray) -> np.ndarray:
     """``fn(x)`` as a float array of ``x``'s shape (scalar returns broadcast)."""
-    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+    v = np.asarray(fn(x), dtype=float)
+    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
-def _probe_points(a: float, b: float, count: int = _MONOTONICITY_PROBES) -> np.ndarray:
-    t = np.cos(np.pi * np.arange(count) / (count - 1))
-    return (b - a) / 2 * t + (b + a) / 2
+def _probe_table(phase: PhaseSpec) -> _ProbeTable:
+    """Tabulate g' and g once each at the probes; raise unless g is monotone there.
 
-
-def _check_monotone(phase: PhaseSpec) -> float:
-    """Return the constant sign of g' on the bracket, or raise."""
+    g' must be nonzero and of one sign at every probe, and g non-strictly
+    ordered in that sign, which is also what :func:`numpy.interp` needs
+    of the table.
+    """
     a, b = phase.bracket
-    dv = _values(phase.g_prime, _probe_points(a, b))
+    x = (b - a) / 2 * _PROBES + (b + a) / 2
+    x[0], x[-1] = a, b
+    dv = _values(phase.g_prime, x)
     if np.any(dv == 0) or not (np.all(dv > 0) or np.all(dv < 0)):
         raise NonMonotonePhaseError(
             f"phase derivative is not of one sign on [{a}, {b}]"
         )
-    return 1.0 if dv[0] > 0 else -1.0
+    sign = 1.0 if dv[0] > 0 else -1.0
+    gv = _values(phase.g, x)
+    if sign < 0:
+        x, gv = x[::-1], gv[::-1]
+    rising = np.diff(gv) >= 0  # False also where g is NaN
+    if not rising.all():
+        k = int(np.argmin(rising))
+        raise NonMonotonePhaseError(
+            f"phase derivative and the slope of g between the probes "
+            f"x = {x[k]} and {x[k + 1]} are not of one sign on [{a}, {b}]"
+        )
+    return _ProbeTable(sign, x, gv)
 
 
 def numeric_inverse(
-    phase: PhaseSpec, y: float | np.ndarray, *, sign: float | None = None
+    phase: PhaseSpec, y: float | np.ndarray, *, _table: _ProbeTable | None = None
 ) -> float | np.ndarray:
     """Solve g(x) = y on the bracket by bisection refined with Newton steps.
 
     ``y`` is a scalar (a float is returned) or an array (an array of the
-    same shape is returned). All targets are iterated together over numpy
-    arrays, each with its own bracket; a target leaves the iteration once
-    |g(x) - y| <= 1e-14 * (1 + |y|). ``sign`` is the sign of g' on the
-    bracket when the caller has already probed it (as :func:`substitute`
-    does); by default it is probed here.
+    same shape is returned). g' and g are tabulated at 64 Chebyshev
+    probes of the bracket, and each target starts from the linear
+    interpolant of that table. All targets are then iterated together
+    over numpy arrays, each with its own bracket, until every one has
+    |g(x) - y| <= 1e-14 * (1 + |y|); a converged target keeps its x.
+    ``_table`` is the table :func:`substitute` has already built; it is
+    not for callers.
 
     Targets within 1e-12 * (1 + max|g|) of the range of g are clipped to
     it; a target at an end of the range returns that end of the bracket.
     Raises ``ValueError`` if any target lies further outside the range,
-    :class:`NonMonotonePhaseError` if the probe finds g' not of one sign,
-    and :class:`InversionError` if any target has not converged after
-    200 iterations.
+    :class:`NonMonotonePhaseError` if g' is not of one sign at the
+    probes or g is not ordered in that sign there, and
+    :class:`InversionError` if any target has not converged after 200
+    iterations.
     """
-    a, b = phase.bracket
-    if sign is None:
-        sign = _check_monotone(phase)
-    lo, hi = (a, b) if sign > 0 else (b, a)  # g(lo) <= g(hi)
-    glo, ghi = (float(v) for v in _values(phase.g, np.array([lo, hi])))
+    table = _probe_table(phase) if _table is None else _table
+    lo, hi = table.x[0], table.x[-1]  # g(lo) <= g(hi)
+    glo, ghi = table.g[0], table.g[-1]
     target = np.asarray(y, dtype=float)
-    low, high = min(glo, ghi), max(glo, ghi)
     # nodes mapped onto [g(a), g(b)] can land ulps of max|g| past its ends
     slack = 1e-12 * (1 + max(abs(glo), abs(ghi)))
-    outside = ~((low - slack <= target) & (target <= high + slack))
+    outside = ~((glo - slack <= target) & (target <= ghi + slack))
     if np.any(outside):
         raise ValueError(
             f"target {target[outside][0]} outside the phase range [{glo}, {ghi}]"
         )
-    ys = np.clip(target.ravel(), low, high)
+    ys = np.clip(target.ravel(), glo, ghi)
     tol = 1e-14 * (1 + np.abs(ys))
-    lo = np.full(ys.shape, lo)
-    hi = np.full(ys.shape, hi)
-    x = 0.5 * (lo + hi)
     # a target at an end of the range has its root at an end of the bracket,
     # which Newton steps overshoot and bisection only approaches
-    x = np.where(np.abs(glo - ys) <= tol, lo, np.where(np.abs(ghi - ys) <= tol, hi, x))
-    out = np.empty(ys.shape)
-    active = np.arange(ys.size)  # positions in ``out`` of unconverged targets
+    x = np.where(
+        np.abs(glo - ys) <= tol,
+        lo,
+        np.where(np.abs(ghi - ys) <= tol, hi, np.interp(ys, table.g, table.x)),
+    )
+    lo = np.full(ys.shape, lo)
+    hi = np.full(ys.shape, hi)
+    done = np.zeros(ys.shape, dtype=bool)
     for _ in range(_MAX_INVERSE_ITERATIONS):
         gx = _values(phase.g, x)
-        done = np.abs(gx - ys) <= tol
-        out[active[done]] = x[done]
+        done |= np.abs(gx - ys) <= tol
         if done.all():
-            return float(out[0]) if target.ndim == 0 else out.reshape(target.shape)
-        keep = ~done
-        active, x, gx, ys, tol, lo, hi = (
-            v[keep] for v in (active, x, gx, ys, tol, lo, hi)
-        )
+            return float(x[0]) if target.ndim == 0 else x.reshape(target.shape)
         below = gx < ys
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        # Newton step, falling back to bisection if it leaves the bracket
+        # Newton step, falling back to bisection if it leaves the bracket;
+        # converged targets keep their x
         dg = _values(phase.g_prime, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - (gx - ys) / dg
         newton = (dg != 0) & (np.minimum(lo, hi) < xn) & (xn < np.maximum(lo, hi))
-        x = np.where(newton, xn, 0.5 * (lo + hi))
+        x = np.where(done, x, np.where(newton, xn, 0.5 * (lo + hi)))
     raise InversionError(
-        f"phase inversion did not converge to {ys[0]} in "
+        f"phase inversion did not converge to {ys[~done][0]} in "
         f"{_MAX_INVERSE_ITERATIONS} iterations"
     )
 
@@ -150,22 +173,24 @@ def substitute(
 
     Returns the transformed amplitude, the new integration limits
     (ascending; the orientation sign is absorbed into the amplitude),
-    and the unchanged frequency. Monotonicity is probed once, here. Each
-    call of the transformed amplitude inverts all its points in one
-    :func:`numeric_inverse` (or ``phase.inverse``) call and raises
-    :class:`NonMonotonePhaseError` if g' at any preimage is zero or of
-    the wrong sign. Its values are real where the amplitude's are.
+    and the unchanged frequency. Monotonicity is probed once, here: g'
+    and g are tabulated at the 64 probes of :class:`PhaseSpec`, and the
+    table's end values are the new limits. Each call of the transformed
+    amplitude inverts all its points in one :func:`numeric_inverse`
+    call, which starts from that table (or in one ``phase.inverse``
+    call), and raises :class:`NonMonotonePhaseError` if g' at any
+    preimage is zero or of the wrong sign. Its values are real where the
+    amplitude's are.
     """
     a, b = phase.bracket
-    sign = _check_monotone(phase)
-    ga, gb = _values(phase.g, np.array([a, b]))
-    lo, hi = (ga, gb) if ga < gb else (gb, ga)
+    table = _probe_table(phase)
+    sign = table.sign
 
     def transformed(y):
         y = np.asarray(y, dtype=float)
         ys = np.atleast_1d(y)
         if phase.inverse is None:
-            x = numeric_inverse(phase, ys, sign=sign)
+            x = numeric_inverse(phase, ys, _table=table)
         else:
             x = _values(phase.inverse, ys)
         dg = _values(phase.g_prime, x)
@@ -178,4 +203,4 @@ def substitute(
         out = sign * np.asarray(amplitude(x)) / dg
         return out[0] if y.ndim == 0 else out
 
-    return transformed, (float(lo), float(hi)), omega
+    return transformed, (float(table.g[0]), float(table.g[-1])), omega

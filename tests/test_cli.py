@@ -90,6 +90,18 @@ class TestIntegrate:
         assert code == 3
         assert "one sign" in err
 
+    def test_phase_with_a_pole_is_solver_error(self, capsys):
+        # g' < 0 on both sides of x = 1, but g is not monotone across it
+        code, out, err = run(
+            capsys,
+            "integrate", "--amplitude", "1", "--omega", "10", "--n", "20",
+            "--a", "0.5", "--b", "2",
+            "--phase", "1/(x-1)", "--phase-derivative=-1/(x-1)^2",
+        )
+        assert code == 3
+        assert out == ""
+        assert "not of one sign" in err
+
     @pytest.mark.parametrize(
         "phase, derivative, flag",
         [("x+i*x^2", "1", "--phase"), ("x", "1+i*x", "--phase-derivative")],

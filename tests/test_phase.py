@@ -84,6 +84,16 @@ def exp_decreasing_phase():
     )
 
 
+def steep_phase():
+    # a steep and a flat part: targets converge after different numbers of
+    # iterations, and the converged ones must not move meanwhile
+    return PhaseSpec(
+        g=lambda x: np.exp(6 * x) + x,
+        g_prime=lambda x: 6 * np.exp(6 * x) + 1,
+        bracket=(-1.0, 1.0),
+    )
+
+
 def _targets(phase, count=41):
     a, b = phase.bracket
     ga, gb = phase.g(np.array([a, b]))
@@ -116,8 +126,8 @@ class TestNumericInverse:
 
     @pytest.mark.parametrize(
         "phase",
-        [sin_shift_phase(), cubic_phase(), exp_decreasing_phase()],
-        ids=["sin", "cube", "exp-decreasing"],
+        [sin_shift_phase(), cubic_phase(), exp_decreasing_phase(), steep_phase()],
+        ids=["sin", "cube", "exp-decreasing", "steep"],
     )
     def test_array_matches_scalar(self, phase):
         ys = _targets(phase)
@@ -170,6 +180,63 @@ class TestNumericInverse:
             numeric_inverse(phase, 0.25)
         with pytest.raises(InversionError):
             numeric_inverse(phase, np.array([-0.5, 0.25, 1.0]))
+
+    def test_unconverged_target_after_a_converged_one_is_named(self):
+        # -0.5 and 0.9 converge and stay frozen; 0.25 never does
+        phase = PhaseSpec(
+            g=lambda x: x + 0.5 * (x > 0), g_prime=lambda x: 1.0, bracket=(-1.0, 1.0)
+        )
+        with pytest.raises(InversionError, match=r"converge to 0\.25 in"):
+            numeric_inverse(phase, np.array([-0.5, 0.9, 0.25]))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda x: np.sin(40 * x),
+            lambda x: x + 0.3 * np.sin(50 * x),
+            lambda x: x + 0.02 * np.sin(300 * x),
+            lambda x: np.tan(1.5 * x),
+            # a dip between the probes near 0, which the table cannot see
+            lambda x: x - 0.04 * np.exp(-((x / 0.005) ** 2)),
+        ],
+        ids=["sin40", "wiggle-coarse", "wiggle-fine", "tan", "dip"],
+    )
+    def test_wrong_derivative_gives_a_root_or_a_typed_error(self, g):
+        # g' claims monotonicity that g does not have: every returned x must
+        # still meet the stopping test, else the failure must be typed
+        phase = PhaseSpec(g=g, g_prime=lambda x: 1.0, bracket=(-1.0, 1.0))
+        ys = np.concatenate(
+            [np.linspace(g(-1.0), g(1.0), 33), np.linspace(-0.05, 0.01, 25)]
+        )
+        try:
+            xs = numeric_inverse(phase, ys)
+        except (NonMonotonePhaseError, InversionError):
+            return
+        assert np.all(np.abs(g(xs) - ys) <= 1e-14 * (1 + np.abs(ys)))
+
+
+class TestPole:
+    """g' < 0 at every probe, but g jumps from -inf to +inf at x = 1."""
+
+    phase = PhaseSpec(
+        g=lambda x: 1 / (x - 1), g_prime=lambda x: -1 / (x - 1) ** 2, bracket=(0.5, 2.0)
+    )
+
+    def test_substitute_rejects_it(self):
+        with pytest.raises(NonMonotonePhaseError, match="not of one sign"):
+            substitute(lambda x: np.ones_like(x), self.phase, 10.0)
+
+    def test_numeric_inverse_rejects_it_before_iterating(self):
+        calls = []
+
+        def g(x):
+            calls.append(np.shape(x))
+            return self.phase.g(x)
+
+        phase = PhaseSpec(g=g, g_prime=self.phase.g_prime, bracket=self.phase.bracket)
+        with pytest.raises(NonMonotonePhaseError, match="not of one sign"):
+            numeric_inverse(phase, 0.98)
+        assert calls == [(64,)]
 
 
 class TestSubstitute:
@@ -247,6 +314,31 @@ class TestSubstitute:
             return calls[0]
 
         assert count(90) == count(1000) < 100
+
+    @pytest.mark.parametrize("n", [90, 1000])
+    @pytest.mark.parametrize(
+        "phase",
+        [sin_shift_phase(), cubic_phase(), exp_decreasing_phase()],
+        ids=["sin", "cube", "exp-decreasing"],
+    )
+    def test_phase_call_budget(self, phase, n):
+        # one g' and one g call for the probe table, Newton from the
+        # interpolated start, one g' call at the preimages
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(x):
+                calls[0] += 1
+                return fn(x)
+
+            return wrapper
+
+        counted_phase = PhaseSpec(
+            g=counted(phase.g), g_prime=counted(phase.g_prime), bracket=phase.bracket
+        )
+        f, (lo, hi), w = substitute(lambda x: 1.0 / (x**2 + 1), counted_phase, 10.0)
+        integrate_on_interval(f, w, lo, hi, n)
+        assert calls[0] <= 10
 
     def test_sin_phase_reference_value(self):
         amp = lambda x: 1.0 / (x**2 + 1)
