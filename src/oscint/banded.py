@@ -1,10 +1,12 @@
 """Complex banded matrices and the two solvers used by the Levin pipeline.
 
 A matrix is stored once, in LAPACK general band storage, and that array
-goes to LAPACK as it is: to ``ztbtrs`` for the triangular
-back-substitution (kl = 0 is exactly its upper band storage) and to
-``zgbtrf`` for the pivoted band LU, solved by ``zgbtrs``. Out-of-band
-entries are unrepresentable.
+goes to LAPACK without rearranging its bands: to ``ztbtrs`` for the
+triangular back-substitution (kl = 0 is exactly its upper band storage)
+and to ``zgbtrf`` for the pivoted band LU, solved by ``zgbtrs``. The
+array is C-ordered, so scipy's f2py wrappers make a transposed,
+Fortran-ordered copy of it on every call. Out-of-band entries are
+unrepresentable.
 """
 
 from __future__ import annotations

@@ -4,14 +4,16 @@ Nodes, the forward coefficient transform, and endpoint evaluation of
 Chebyshev series. Everything here is real except that samples and
 coefficient vectors are allowed to be complex.
 
-The forward transform is one fast transform per call: a real type-I
-DCT (``scipy.fft.dct``) for real samples, and for complex samples one
-complex FFT (``scipy.fft.fft``) of the even extension
+The forward transform is at most one fast transform per call: a real
+type-I DCT (``scipy.fft.dct``) for real samples, and for complex samples
+one complex FFT (``scipy.fft.fft``) of the even extension
 ``[f_0, ..., f_n, f_{n-1}, ..., f_1]``, whose first n+1 outputs are
 the type-I DCT. For the many n with a large prime factor, pocketfft
 runs every transform of such a length as a Bluestein convolution, so
 one complex transform costs about what one real DCT does, where
 transforming the real and imaginary parts separately would cost two.
+A call whose samples repeat the previous call's bit for bit takes no
+transform: the last result is memoised.
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ def _grid(n: int) -> ChebyshevGrid:
     return ChebyshevGrid(n=n, nodes=x.view())
 
 
+# The last transform of float64 or complex128 samples, as (key, coefficients)
+# with key = (dtype, shape, exact sample bytes); one entry, so a sweep over
+# omega at one amplitude and n transforms its samples once. Only those two
+# dtypes are keyed: they are what the solver passes, and their bytes are
+# their values (an object array's bytes are pointers).
+_last_transform = None
+
+
 def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:
     """Chebyshev interpolation coefficients from samples at the nodes.
 
@@ -115,13 +125,29 @@ def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarra
     samples take one complex ``fft`` of their even extension
     ``[f_0, ..., f_n, f_{n-1}, ..., f_1]`` (length 2n), of which the
     first n+1 outputs are the DCT. Either way c is complex.
+
+    The coefficients of the last float64 or complex128 samples are
+    memoised, keyed on their dtype, shape and exact bytes (held in a
+    private copy, so mutating the samples later cannot cause a false
+    hit). A repeat of bitwise-equal samples returns the same
+    coefficients without a transform; -0.0 and 0.0, or real and complex
+    samples of equal value, are different keys. The returned array is
+    read-only, on a miss as on a hit: it is a view of a read-only array,
+    so its flag cannot be flipped back. Copy it to modify it.
     """
+    global _last_transform
     f_values = np.asarray(f_values)
     n = grid.n
     if len(f_values) != n + 1:
         raise ValueError(
             f"expected {n + 1} samples for degree {n}, got {len(f_values)}"
         )
+    key = None
+    if f_values.dtype.char in "dD":  # float64 or complex128, either byte order
+        key = (f_values.dtype, f_values.shape, f_values.tobytes())
+        last = _last_transform
+        if last is not None and last[0] == key:
+            return last[1]
     if np.iscomplexobj(f_values):
         extension = np.concatenate((f_values, f_values[n - 1 : 0 : -1]))
         raw = fft(extension, overwrite_x=True)[: n + 1]
@@ -131,6 +157,10 @@ def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarra
     c = raw / n
     c[0] /= 2.0
     c[n] /= 2.0
+    c.flags.writeable = False
+    c = c.view()
+    if key is not None:
+        _last_transform = (key, c)
     return c
 
 

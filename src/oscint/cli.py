@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .expr import ParseError, parse_amplitude
-from .levin import ZeroFrequencyError, integrate_on_interval
+from .levin import integrate_on_interval
 from .oracle import (
     AccuracyNotReachedError,
     get_example,
@@ -102,10 +102,6 @@ def _cmd_integrate(args, parser) -> int:
         )
         spec = PhaseSpec(g=g, g_prime=gp, bracket=(a, b))
         amplitude, (a, b), _ = substitute(amplitude, spec, args.omega)
-    if args.omega == 0:
-        raise ZeroFrequencyError(
-            "omega = 0 is not oscillatory; the Levin method is undefined there"
-        )
     result = integrate_on_interval(amplitude, args.omega, a, b, args.n)
     print(
         f"{_fmt(result.value.real)} {_fmt(result.value.imag)} "

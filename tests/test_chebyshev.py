@@ -217,6 +217,22 @@ class TestForwardCoefficients:
             )
 
 
+class TestTransformMemo:
+    def test_memoised_coefficients_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(chebyshev, "_last_transform", None)
+        grid = gauss_lobatto_nodes(8)
+        f = np.exp(grid.nodes) * (1 + 0.5j)
+        miss = forward_coefficients(f, grid)
+        hit = forward_coefficients(f.copy(), grid)
+        expected = miss.copy()
+        for c in (miss, hit, np.asarray(hit), hit[::2]):
+            with pytest.raises(ValueError, match="read-only"):
+                c[0] = 0.0
+            with pytest.raises(ValueError):
+                c.flags.writeable = True
+        assert forward_coefficients(f, grid).tobytes() == expected.tobytes()
+
+
 class TestEndpointValues:
     def test_constant_series(self):
         p1, pm1 = endpoint_values(SpectralCoefficients(np.array([1.0, 0, 0])))

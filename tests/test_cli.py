@@ -74,12 +74,16 @@ class TestIntegrate:
         assert fields[2] == "quadrature"
         assert fields[3] == "nan"
 
-    def test_zero_frequency_is_solver_error(self, capsys):
-        code, _, err = run(
-            capsys, "integrate", "--amplitude", "x", "--omega", "0", "--n", "8"
+    def test_zero_frequency_integrates_by_quadrature(self, capsys):
+        code, out, _ = run(
+            capsys, "integrate", "--amplitude", "exp(x)", "--omega", "0", "--n", "16"
         )
-        assert code == 3
-        assert "error" in err
+        assert code == 0
+        fields = out.split()
+        # int_{-1}^{1} e^x dx
+        assert float(fields[0]) == pytest.approx(np.e - 1 / np.e, rel=1e-15)
+        assert abs(float(fields[1])) < 1e-15
+        assert fields[2] == "quadrature"
 
     def test_non_monotone_phase_is_solver_error(self, capsys):
         code, _, err = run(

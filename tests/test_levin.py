@@ -27,9 +27,14 @@ TABLE_1 = {
 
 
 def count_transforms(monkeypatch):
-    """Count the ``dct`` and ``fft`` calls made through ``oscint.chebyshev``."""
+    """Count the ``dct`` and ``fft`` calls made through ``oscint.chebyshev``.
+
+    The memoised last transform is forgotten first, so that the count does
+    not depend on what an earlier test transformed.
+    """
     import oscint.chebyshev as chebyshev_mod
 
+    monkeypatch.setattr(chebyshev_mod, "_last_transform", None)
     calls = {"dct": 0, "fft": 0}
 
     def counted(name):
@@ -475,6 +480,114 @@ class TestAmplitudeDtype:
         real = self._substituted(lambda x: 1 / (x**2 + 1))
         as_complex = self._substituted(lambda x: (1 / (x**2 + 1)).astype(complex))
         assert abs(real.value - as_complex.value) <= 1e-14 * abs(as_complex.value)
+
+
+def exp_integral(alpha, omega, a, b):
+    """Closed form of int_a^b exp(alpha*x) exp(i*omega*x) dx."""
+    z = alpha + 1j * omega
+    return (np.exp(z * b) - np.exp(z * a)) / z
+
+
+class TestTransformMemo:
+    ALPHA = 0.7 - 0.4j
+
+    def test_frequency_sweep_transforms_once(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        # quadrature, normal and direct paths at one amplitude, interval and n
+        omegas = [0.0, 0.5, 3.0, 20.0, 39.0, 41.0, 300.0, 5e3]
+        paths = set()
+        for omega in omegas:
+            result = integrate_on_interval(
+                lambda x: np.exp(self.ALPHA * x), omega, 0.0, 3.0, 40
+            )
+            exact = exp_integral(self.ALPHA, omega, 0.0, 3.0)
+            assert abs(result.value - exact) <= 1e-13
+            paths.add(result.path)
+        assert paths == set(SolvePath)
+        assert calls == {"dct": 0, "fft": 1}
+
+    def test_changed_closure_state_gets_a_fresh_transform(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+        state = {"alpha": 1.0}
+
+        def amp(x):
+            return np.exp(state["alpha"] * x)
+
+        for alpha in (1.0, 1.0, self.ALPHA, self.ALPHA):
+            state["alpha"] = alpha
+            result = integrate_on_interval(amp, 7.0, -1.0, 1.0, 40)
+            z = alpha + 7j
+            assert abs(result.value - 2 * np.sinh(z) / z) <= 1e-14
+        assert calls == {"dct": 1, "fft": 1}
+
+    def test_keys_are_exact_bytes_and_dtype(self, monkeypatch):
+        f = np.array([1.0, 0.0, 2.0, 0.5, 3.0, 4.0])
+        negative_zero = f.copy()
+        negative_zero[1] = -0.0
+        sequence = [
+            f,
+            f.copy(),
+            negative_zero,
+            f.astype(complex),
+            f.astype(complex),
+            f.view(complex),  # the same bytes as f, read as 3 complex samples
+            f,
+        ]
+        calls = count_transforms(monkeypatch)
+        got = [
+            forward_coefficients(samples, gauss_lobatto_nodes(len(samples) - 1))
+            for samples in sequence
+        ]
+        assert calls == {"dct": 3, "fft": 2}
+        # every result, hit or miss, is bit-identical to a transform from scratch
+        for samples, c in zip(sequence, got):
+            monkeypatch.setattr("oscint.chebyshev._last_transform", None)
+            fresh = forward_coefficients(samples, gauss_lobatto_nodes(len(samples) - 1))
+            assert c.tobytes() == fresh.tobytes()
+
+    def test_samples_mutated_after_the_call_are_a_miss(self, monkeypatch):
+        grid = gauss_lobatto_nodes(6)
+        f = np.linspace(-1.0, 2.0, 7)
+        calls = count_transforms(monkeypatch)
+        before = forward_coefficients(f, grid).copy()
+        f[3] += 1.0
+        after = forward_coefficients(f, grid)
+        assert calls == {"dct": 2, "fft": 0}
+        assert not np.array_equal(before, after)
+        np.testing.assert_allclose(
+            npcheb.chebval(grid.nodes, after), f, rtol=0, atol=1e-14
+        )
+
+    def test_nested_integral_in_the_amplitude(self, monkeypatch):
+        calls = count_transforms(monkeypatch)
+
+        def inner(x):
+            # at each node s, a two-frequency sweep of int_{-1}^{1} exp(s*t)
+            # exp(i*w*t) dt; the outer transform follows the inner ones
+            return np.array(
+                [
+                    sum(
+                        integrate_on_interval(
+                            lambda t, s=s: np.exp(s * t), w, -1.0, 1.0, 30
+                        ).value
+                        for w in (3.0, 4.0)
+                    )
+                    for s in x
+                ]
+            )
+
+        def closed_form(x):
+            return sum(2 * np.sinh(x + 1j * w) / (x + 1j * w) for w in (3.0, 4.0))
+
+        omegas = (0.0, 5.0, 5.0, 80.0)
+        for omega in omegas:
+            nested = integrate_on_interval(inner, omega, 0.0, 1.0, 24)
+            exact = integrate_on_interval(closed_form, omega, 0.0, 1.0, 24)
+            assert nested.path is exact.path
+            assert abs(nested.value - exact.value) <= 1e-13 * abs(exact.value)
+        # per outer integral: one real inner transform per node (the second
+        # frequency hits), then the outer one and the closed form's
+        assert calls == {"dct": len(omegas) * 25, "fft": len(omegas) * 2}
 
 
 def test_problem_validation():
