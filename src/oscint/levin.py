@@ -9,9 +9,10 @@ triangular system by LAPACK ``ztbtrs`` when |omega| > n, and Hermitian
 normal equations by LAPACK's pivoted band LU (``zgbtrf``/``zgbtrs``)
 with one refinement pass otherwise (back-substitution can amplify
 rounding errors once n exceeds |omega|; see :func:`assemble_G`).
-Below a negligible effective frequency, :func:`integrate_on_interval`
-solves no system: it sums the Clenshaw-Curtis weights against the
-Chebyshev coefficients of the same n+1 samples and reports
+:func:`integrate_on_interval` solves the Levin system only where
+|omega_eff| > n. At |omega_eff| <= n, zero included, it integrates the
+amplitude's interpolant against the Chebyshev moments of exp(i*omega*x),
+which one real tridiagonal solve yields, and reports
 :attr:`SolvePath.QUADRATURE`.
 """
 
@@ -23,9 +24,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import special
+from scipy.linalg.lapack import dgtsv
 
 from .banded import (
     BandedComplexMatrix,
+    SingularMatrixError,
     banded_lu_partial_pivot,
     lu_solve,
     normal_system,
@@ -61,8 +65,8 @@ Amplitude = Callable[[np.ndarray], np.ndarray]
 class ZeroFrequencyError(ValueError):
     """The Levin system is undefined at omega = 0 (the diagonal vanishes).
 
-    :func:`integrate_on_interval` accepts omega = 0: it integrates the
-    amplitude's interpolant by Clenshaw-Curtis instead.
+    :func:`integrate_on_interval` accepts omega = 0, a case of its
+    Chebyshev-moment route (there the Clenshaw-Curtis rule).
     """
 
 
@@ -258,9 +262,67 @@ def integrate_standard(
     )
 
 
-# Effective frequencies below this are not oscillatory at all; the Levin
-# diagonal would be numerically zero, so integrate the interpolant instead.
-_MIN_EFFECTIVE_OMEGA = 1e-14
+def _chebyshev_moments(omega: float, n: int) -> np.ndarray:
+    """Moments ``M_k = int_{-1}^{1} T_k(x) exp(i*omega*x) dx``, k = 0..n.
+
+    M_0 = 2 sin(w)/w is pinned. Integrating T_1 = T_2'/4 and, for k >= 2,
+    T_k = (T_{k+1}'/(k+1) - T_{k-1}'/(k-1))/2 by parts gives the rows
+
+        4 M_1 + i*w M_2 = 2i sin w,
+        2(k^2 - 1) M_k + i*w*(k-1) M_{k+1} - i*w*(k+1) M_{k-1} = -2 B_k,
+
+    with B_k = 2 cos w for even k and 2i sin w for odd k. They are solved
+    as one boundary-value problem with M_{N+1} = 0 (Olver, J. Res. NBS
+    71B, 1967), N = max(n, 1.5|w|) + 40: past |w| the growing solution of
+    the recurrence is suppressed, so the truncation does not reach k <= n.
+    In m_k = M_k / i^k the rows and their right-hand sides are real, so
+    the solve is one real tridiagonal LAPACK ``dgtsv``. At w = 0 the rows
+    decouple into the Clenshaw-Curtis weights 2/(1-k^2).
+
+    The decaying solution of the homogeneous rows is m_k = k J_k(w). It
+    satisfies row 1 where J_0(w) = 0, and there the system is singular.
+    So where |J_1(w)| > |J_0(w)|, M_1 = 2i (sin w - w cos w)/w^2 is pinned
+    instead and rows 2..N are solved, which are singular only where
+    J_1(w) = 0; the zeros of J_0 and J_1 interlace.
+    """
+    w = float(omega)
+    N = max(n, math.ceil(1.5 * abs(w))) + 40
+    cos_w, sin_w = math.cos(w), math.sin(w)
+    # rows k = 1..N in m: diagonal 2(k^2 - 1), -w(k+1) below, -w(k-1) above,
+    # except row 1: 4 m_1 - w m_2 = 2 sin w
+    diagonal = np.arange(1.0, N + 1)
+    diagonal *= diagonal
+    diagonal -= 1
+    diagonal *= 2
+    diagonal[0] = 4.0
+    below = np.arange(3.0, N + 2)
+    below *= -w
+    above = np.arange(0.0, N - 1)
+    above[0] = 1.0
+    above *= -w
+    # -2 B_k / i^k repeats with period 4 from k = 2
+    rhs = np.empty(N)
+    rhs[0] = 2 * sin_w
+    rhs[1::4], rhs[2::4] = 4 * cos_w, 4 * sin_w
+    rhs[3::4], rhs[4::4] = -4 * cos_w, -4 * sin_w
+    m = np.empty(N + 1)
+    m[0] = 2.0 * sin_w / w if w else 2.0
+    first = 0  # index of the first row solved, k = first + 1
+    if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
+        m[1] = 2.0 * (sin_w - w * cos_w) / (w * w)
+        rhs[1] += 3 * w * m[1]  # row 2's known M_1 term
+        first = 1
+    *_, m[first + 1 :], info = dgtsv(
+        below[first:], diagonal[first:], above[first:], rhs[first:], 1, 1, 1, 1
+    )
+    if info:
+        row = first + info
+        raise SingularMatrixError(f"zero pivot in moment recurrence row {row}", row)
+    M = m[: n + 1].astype(complex)  # M_k = i^k m_k
+    M[1::2] *= 1j
+    M[2::4] *= -1
+    M[3::4] *= -1
+    return M
 
 
 def integrate_on_interval(
@@ -269,18 +331,21 @@ def integrate_on_interval(
     a: float,
     b: float,
     n: int,
-    force_path: SolvePath | None = None,
 ) -> IntegralResult:
     """Compute ``int_a^b f(x) exp(i*omega*x) dx``.
 
     The interval is mapped onto [-1, 1]; the effective frequency
-    becomes omega*(b-a)/2 and the constant phase shift
-    exp(i*omega*(b+a)/2) multiplies the result. Below a negligible
-    effective frequency (|omega*(b-a)/2| < 1e-14) no banded system is
-    solved: the result is the Clenshaw-Curtis sum over the same n+1
-    Gauss-Lobatto samples, i.e. the exact integral of their degree-n
-    interpolant, with path ``QUADRATURE`` and a NaN residual. As on the
-    other paths, ``n`` bounds how much of the amplitude is resolved.
+    becomes w = omega*(b-a)/2 and the constant phase shift
+    exp(i*omega*(b+a)/2) multiplies the result. Where |w| > n the
+    Levin system is solved on the direct path (:func:`integrate_standard`).
+    At |w| <= n, where the Levin value is the exact integral of the
+    amplitude's degree-n interpolant times exp(i*w*x), that integral is
+    taken directly: the Chebyshev coefficients of the n+1 Gauss-Lobatto
+    samples against the moments of T_k (the Filon-Clenshaw-Curtis rule
+    of Dominguez, Graham & Smyshlyaev, IMA J. Numer. Anal. 31(4), 2011),
+    with path ``QUADRATURE`` and a NaN residual. w = 0 is a case of that
+    route, where it is the Clenshaw-Curtis rule. As on the direct path,
+    ``n`` bounds how much of the amplitude is resolved.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
@@ -290,34 +355,26 @@ def integrate_on_interval(
     half = (b - a) / 2
     mid = (b + a) / 2
     omega_eff = omega * half
-    if abs(omega_eff) < _MIN_EFFECTIVE_OMEGA:
+    if abs(omega_eff) <= n:
         grid = gauss_lobatto_nodes(n)
         samples = _sample_amplitude(amplitude, half * grid.nodes + mid)
         c = forward_coefficients(samples, grid)
-        # int_{-1}^{1} T_k = 2/(1-k^2) for even k, 0 for odd k
-        k = np.arange(0, n + 1, 2)
-        value = half * np.exp(1j * omega * mid) * np.sum(c[::2] * (2.0 / (1 - k**2)))
-        return IntegralResult(
-            value=complex(value),
-            path=SolvePath.QUADRATURE,
-            n_used=n,
-            residual_norm=float("nan"),
+        value, path, residual = (
+            c @ _chebyshev_moments(omega_eff, n), SolvePath.QUADRATURE, float("nan")
         )
+    else:
+        def mapped(t):
+            return amplitude(half * t + mid)
 
-    def mapped(t):
-        return amplitude(half * t + mid)
-
-    try:
-        inner = integrate_standard(
-            IntegralProblem(amplitude=mapped, omega=omega_eff, n=n), force_path
-        )
-    except AmplitudeSamplingError as err:
-        # the solver sampled at t in [-1, 1]; name the caller's x instead
-        raise AmplitudeSamplingError(half * err.node + mid) from None
-    value = half * np.exp(1j * omega * mid) * inner.value
+        try:
+            inner = integrate_standard(IntegralProblem(mapped, omega_eff, n))
+        except AmplitudeSamplingError as err:
+            # the solver sampled at t in [-1, 1]; name the caller's x instead
+            raise AmplitudeSamplingError(half * err.node + mid) from None
+        value, path, residual = inner.value, inner.path, inner.residual_norm
     return IntegralResult(
-        value=complex(value),
-        path=inner.path,
+        value=complex(half * np.exp(1j * omega * mid) * value),
+        path=path,
         n_used=n,
-        residual_norm=inner.residual_norm,
+        residual_norm=residual,
     )

@@ -251,11 +251,13 @@ def test_criterion_10_linear_complexity_and_wall_time(report):
     f = lambda x: 1.0 / (x + 2.0)
     # The normal path runs in LAPACK, where operations cannot be counted:
     # O(n) is gated on measured time per unknown (a quadratic solve reads 16x).
+    # The amplitude's sign alternates so that no run repeats the previous
+    # run's samples: each pays for its own transform instead of a memo hit.
     per_unknown = {}
     for n in (4096, 65536):
-        problem = IntegralProblem(f, 5.0, n)
         times = []
-        for _ in range(5):
+        for sign in (1.0, -1.0, 1.0, -1.0, 1.0):
+            problem = IntegralProblem(lambda x: sign * f(x), 5.0, n)
             t0 = time.perf_counter()
             integrate_standard(problem)
             times.append(time.perf_counter() - t0)
@@ -268,7 +270,8 @@ def test_criterion_10_linear_complexity_and_wall_time(report):
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed <= 1.0 and result.path is SolvePath.NORMAL_EQUATIONS
     details.append(f"n=100000 normal wall {elapsed:.3f} s")
-    problem = IntegralProblem(lambda x: 1.0 / (x + 2.0), 1e6, 100000)
+    # negated: the normal run above left f's samples at this n in the memo
+    problem = IntegralProblem(lambda x: -f(x), 1e6, 100000)
     t0 = time.perf_counter()
     integrate_standard(problem)
     elapsed = time.perf_counter() - t0

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
+from scipy.special import jn_zeros
 
 from oscint import (
     AmplitudeSamplingError,
@@ -17,8 +18,18 @@ from oscint import (
     substitute,
 )
 from oscint.chebyshev import forward_coefficients, gauss_lobatto_nodes
-from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
-from oscint.oracle import dense_collocation_solve, spectral_diff_matrix
+from oscint.banded import SingularMatrixError
+from oscint.levin import (
+    _chebyshev_moments,
+    assemble_G,
+    assemble_rhs,
+    solve_coefficients,
+)
+from oscint.oracle import (
+    dense_collocation_solve,
+    oscillatory_reference_quadrature,
+    spectral_diff_matrix,
+)
 
 TABLE_1 = {
     1: 0.9113301035062809891 - 0.1775799622517861791j,
@@ -315,9 +326,10 @@ class TestIntegrateStandard:
 
 class TestIntegrateOnInterval:
     def test_standard_interval_is_identity(self):
+        # above |omega| > n integrate_on_interval runs the Levin solver itself
         f = lambda x: np.exp(x)
-        a = integrate_on_interval(f, 11.0, -1.0, 1.0, 16)
-        b = integrate_standard(IntegralProblem(f, 11.0, 16))
+        a = integrate_on_interval(f, 17.0, -1.0, 1.0, 16)
+        b = integrate_standard(IntegralProblem(f, 17.0, 16))
         assert a.value == b.value
 
     def test_closed_form_on_zero_pi(self):
@@ -395,7 +407,7 @@ class TestIntegrateOnInterval:
 
     @pytest.mark.parametrize(
         "omega,path",
-        [(5.0, SolvePath.NORMAL_EQUATIONS), (50.0, SolvePath.DIRECT_TRIANGULAR)],
+        [(5.0, SolvePath.QUADRATURE), (50.0, SolvePath.DIRECT_TRIANGULAR)],
     )
     def test_levin_non_finite_sample_reports_node_in_x(self, omega, path):
         def amp(x):
@@ -408,12 +420,112 @@ class TestIntegrateOnInterval:
         assert "x = 0.5" in str(err.value)
 
 
+def moment_route_error(alpha, omega, n):
+    """Relative error of int_{-1}^{1} exp(alpha*x) exp(i*omega*x) dx on the
+    moment route; the closed form is 2 sinh(z)/z with z = alpha + i*omega."""
+    result = integrate_on_interval(lambda x: np.exp(alpha * x), omega, -1.0, 1.0, n)
+    assert result.path is SolvePath.QUADRATURE
+    z = alpha + 1j * omega
+    exact = 2.0 * np.sinh(z) / z
+    return abs(result.value - exact) / abs(exact)
+
+
+def worst_seeded_error(seed, draws, n_range, omega_of):
+    """Worst moment-route error over seeded draws; ``omega_of(rng, n)``."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        omega = omega_of(rng, n)
+        alpha = complex(0.5 + rng.random(), rng.uniform(-1.5, 1.5))
+        worst = max(worst, moment_route_error(alpha, omega, n))
+    return worst
+
+
+def log_uniform(lo, hi):
+    """Frequency draw, log-uniform in [lo, hi) with a random sign."""
+    def draw(rng, n):
+        return rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(np.log(lo), np.log(hi)))
+
+    return draw
+
+
+class TestMomentRoute:
+    """|omega_eff| <= n: coefficients against the moments of T_k."""
+
+    def test_tiny_frequency_is_not_zero(self):
+        assert moment_route_error(1.019 - 1.0542j, 1e-11, 32) <= 1e-13
+
+    @pytest.mark.parametrize("lo,hi", [(1e-12, 1e-6), (1e-6, 3.0)])
+    def test_low_frequency_bins(self, lo, hi):
+        assert worst_seeded_error(11, 200, (24, 64), log_uniform(lo, hi)) <= 1e-13
+
+    def test_band_below_n(self):
+        # 0.15 n <= |omega| < n, where the normal equations lost digits
+        band = lambda rng, n: n * rng.uniform(0.15, 1.0)
+        assert worst_seeded_error(12, 300, (16, 256), band) <= 1e-11
+
+    @pytest.mark.parametrize("n", [64, 2000])
+    def test_omega_equal_to_n(self, n):
+        # the recurrence's truncation must lie far enough past |omega|
+        assert moment_route_error(0.8 + 0.3j, float(n), n) <= 1e-12
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_frequencies_at_bessel_zeros(self, order):
+        # k J_k(omega) solves the homogeneous moment rows, so where J_0 or J_1
+        # vanishes one choice of bottom row is singular: the other must be used
+        for omega in jn_zeros(order, 3):
+            for n in (64, 7144):
+                assert moment_route_error(-1.2 + 0.7j, omega, n) <= 1e-13
+
+
+class TestChebyshevMoments:
+    @pytest.mark.parametrize(
+        "k,omega",
+        [(0, 3.0), (1, 3.0), (1, 1e-3), (2, 0.5), (5, 7.0), (10, 20.0), (30, 30.0)],
+    )
+    def test_against_reference_quadrature(self, k, omega):
+        T_k = npcheb.Chebyshev.basis(k)
+        expected = oscillatory_reference_quadrature(T_k, omega, -1.0, 1.0, tol=1e-14)
+        got = _chebyshev_moments(omega, max(k, 32))[k]
+        # the reference stops once two refinements agree to 1e-14
+        assert abs(got - expected) <= 5e-14
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_zero_frequency_is_clenshaw_curtis(self, n):
+        weights = np.zeros(n + 1)
+        k = np.arange(0, n + 1, 2)
+        weights[::2] = 2.0 / (1 - k**2)
+        np.testing.assert_array_equal(_chebyshev_moments(0.0, n), weights)
+
+    @pytest.mark.parametrize("omega", [-37.0, -0.2, 1e-9, 2.5, 90.0])
+    def test_even_moments_real_odd_imaginary(self, omega):
+        M = _chebyshev_moments(omega, 90)
+        assert np.all(M[0::2].imag == 0)
+        assert np.all(M[1::2].real == 0)
+        # and M(-omega) is the conjugate of M(omega)
+        np.testing.assert_allclose(
+            _chebyshev_moments(-omega, 90), M.conj(), rtol=0, atol=1e-15
+        )
+
+    def test_zero_pivot_is_typed(self, monkeypatch):
+        import oscint.levin
+
+        def singular(dl, d, du, b, *overwrite):
+            return dl, d, du, b, 3
+
+        monkeypatch.setattr(oscint.levin, "dgtsv", singular)
+        with pytest.raises(SingularMatrixError) as err:
+            _chebyshev_moments(5.0, 16)
+        assert err.value.index == 4
+
+
 class TestAmplitudeDtype:
     """Real samples stay real and take one real DCT; complex ones one FFT."""
 
     @pytest.mark.parametrize(
         "omega,path",
-        [(50.0, SolvePath.DIRECT_TRIANGULAR), (5.0, SolvePath.NORMAL_EQUATIONS)],
+        [(50.0, SolvePath.DIRECT_TRIANGULAR), (5.0, SolvePath.QUADRATURE)],
     )
     def test_real_and_complex_dtype_agree(self, omega, path):
         real = integrate_on_interval(lambda x: 1 / (x + 2), omega, -1.0, 1.0, 30)
@@ -493,7 +605,7 @@ class TestTransformMemo:
 
     def test_frequency_sweep_transforms_once(self, monkeypatch):
         calls = count_transforms(monkeypatch)
-        # quadrature, normal and direct paths at one amplitude, interval and n
+        # moment and direct routes at one amplitude, interval and n
         omegas = [0.0, 0.5, 3.0, 20.0, 39.0, 41.0, 300.0, 5e3]
         paths = set()
         for omega in omegas:
@@ -503,7 +615,7 @@ class TestTransformMemo:
             exact = exp_integral(self.ALPHA, omega, 0.0, 3.0)
             assert abs(result.value - exact) <= 1e-13
             paths.add(result.path)
-        assert paths == set(SolvePath)
+        assert paths == {SolvePath.DIRECT_TRIANGULAR, SolvePath.QUADRATURE}
         assert calls == {"dct": 0, "fft": 1}
 
     def test_changed_closure_state_gets_a_fresh_transform(self, monkeypatch):
