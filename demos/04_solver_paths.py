@@ -9,10 +9,14 @@ to minimize the residual instead: form the Hermitian normal equations
 
 This demo forces both paths on the same problem and prints the
 residual of the bandwidth-2 system for each, across the n/omega ratio.
-These are the paths of ``integrate_standard``. ``integrate_on_interval``
-runs the direct path where |omega| > n and, below that, no Levin system
-at all: it integrates the amplitude's interpolant against Chebyshev
-moments (path ``quadrature``), shown in the last table.
+These are the paths of ``integrate_standard``, the paper's Levin solver.
+``integrate_on_interval`` solves no Levin system at any frequency: the
+collocation polynomial solves p' + i*omega*p = f_n exactly, so it
+integrates the amplitude's interpolant against the Chebyshev moments of
+exp(i*omega*x), c . M, shown in the last table. Its path label says how
+the moments were computed: forwards where |omega| > n
+(``direct_triangular``), by a boundary-value solve elsewhere
+(``quadrature``). Its residual is NaN on both.
 """
 
 import numpy as np
@@ -42,8 +46,8 @@ print("stays at rounding level, which is why the solver switches")
 print("automatically at |omega| = n.")
 
 print()
-print("integrate_on_interval on the same problems, against the closed form")
-print("(amplitude exp(x), exact integral 2*sinh(1 + i*w)/(1 + i*w)):")
+print("integrate_on_interval (c . M) on the same problems, against the closed")
+print("form (amplitude exp(x), exact integral 2*sinh(1 + i*w)/(1 + i*w)):")
 for omega, n in ((100.0, 16), (20.0, 16), (20.0, 32), (5.0, 32), (5.0, 64)):
     result = integrate_on_interval(np.exp, omega, -1.0, 1.0, n)
     z = 1 + 1j * omega

@@ -1,19 +1,17 @@
 """Levin collocation solver for linear-phase oscillatory integrals.
 
-Reduces ``int_{-1}^{1} f(x) exp(i*omega*x) dx`` to a banded complex
-linear system for the Chebyshev coefficients of the slowly varying
-antiderivative p, then evaluates ``p(1)e^{i w} - p(-1)e^{-i w}``.
+:func:`integrate_standard` is the paper's Levin solver, kept as the
+reference that the acceptance criteria test: a banded complex system for
+the Chebyshev coefficients of the antiderivative p of
+``int_{-1}^{1} f(x) exp(i*omega*x) dx``, solved by LAPACK ``ztbtrs``
+back-substitution when |omega| > n and by Hermitian normal equations with
+a pivoted band LU (``zgbtrf``/``zgbtrs``) otherwise (see :func:`assemble_G`).
 
-Two solve paths: direct back-substitution on the bandwidth-2 upper
-triangular system by LAPACK ``ztbtrs`` when |omega| > n, and Hermitian
-normal equations by LAPACK's pivoted band LU (``zgbtrf``/``zgbtrs``)
-with one refinement pass otherwise (back-substitution can amplify
-rounding errors once n exceeds |omega|; see :func:`assemble_G`).
-:func:`integrate_on_interval` solves the Levin system only where
-|omega_eff| > n. At |omega_eff| <= n, zero included, it integrates the
-amplitude's interpolant against the Chebyshev moments of exp(i*omega*x),
-which one real tridiagonal solve yields, and reports
-:attr:`SolvePath.QUADRATURE`.
+:func:`integrate_on_interval` solves no Levin system. The collocation
+polynomial solves p' + i*omega*p = f_n exactly, so at every frequency its
+value is ``c . M(omega, n)``: the Chebyshev coefficients of the amplitude's
+interpolant f_n against the moments of exp(i*omega*x)
+(:func:`_chebyshev_moments`).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dtbtrs
 
 from .banded import (
     BandedComplexMatrix,
@@ -271,22 +269,23 @@ def _chebyshev_moments(omega: float, n: int) -> np.ndarray:
         4 M_1 + i*w M_2 = 2i sin w,
         2(k^2 - 1) M_k + i*w*(k-1) M_{k+1} - i*w*(k+1) M_{k-1} = -2 B_k,
 
-    with B_k = 2 cos w for even k and 2i sin w for odd k. They are solved
-    as one boundary-value problem with M_{N+1} = 0 (Olver, J. Res. NBS
-    71B, 1967), N = max(n, 1.5|w|) + 40: past |w| the growing solution of
-    the recurrence is suppressed, so the truncation does not reach k <= n.
-    In m_k = M_k / i^k the rows and their right-hand sides are real, so
-    the solve is one real tridiagonal LAPACK ``dgtsv``. At w = 0 the rows
-    decouple into the Clenshaw-Curtis weights 2/(1-k^2).
+    with B_k = 2 cos w for even k and 2i sin w for odd k. In m_k = M_k / i^k
+    they are real. Where |w| > n, every k <= n lies below |w|, where the
+    rows are stable forwards: M_1 = 2i (sin w - w cos w)/w^2 is pinned too,
+    and one real lower-banded LAPACK ``dtbtrs`` gives M_2..M_n.
 
-    The decaying solution of the homogeneous rows is m_k = k J_k(w). It
-    satisfies row 1 where J_0(w) = 0, and there the system is singular.
-    So where |J_1(w)| > |J_0(w)|, M_1 = 2i (sin w - w cos w)/w^2 is pinned
-    instead and rows 2..N are solved, which are singular only where
-    J_1(w) = 0; the zeros of J_0 and J_1 interlace.
+    Elsewhere they are one boundary-value problem with M_{N+1} = 0 (Olver,
+    J. Res. NBS 71B, 1967), N = max(n, 1.5|w|) + 40, which suppresses the
+    growing solution past |w| before it reaches k <= n: one real tridiagonal
+    ``dgtsv``, whose rows decouple into the Clenshaw-Curtis weights
+    2/(1-k^2) at w = 0. The decaying homogeneous solution m_k = k J_k(w)
+    satisfies row 1 where J_0(w) = 0, making the system singular there. So
+    where |J_1(w)| > |J_0(w)|, M_1 is pinned instead and rows 2..N are
+    solved, singular only where J_1(w) = 0; the zeros of J_0 and J_1 interlace.
     """
     w = float(omega)
-    N = max(n, math.ceil(1.5 * abs(w))) + 40
+    forward = abs(w) > n
+    N = n if forward else max(n, math.ceil(1.5 * abs(w))) + 40
     cos_w, sin_w = math.cos(w), math.sin(w)
     # rows k = 1..N in m: diagonal 2(k^2 - 1), -w(k+1) below, -w(k-1) above,
     # except row 1: 4 m_1 - w m_2 = 2 sin w
@@ -296,10 +295,8 @@ def _chebyshev_moments(omega: float, n: int) -> np.ndarray:
     diagonal *= 2
     diagonal[0] = 4.0
     below = np.arange(3.0, N + 2)
-    below *= -w
     above = np.arange(0.0, N - 1)
     above[0] = 1.0
-    above *= -w
     # -2 B_k / i^k repeats with period 4 from k = 2
     rhs = np.empty(N)
     rhs[0] = 2 * sin_w
@@ -307,17 +304,30 @@ def _chebyshev_moments(omega: float, n: int) -> np.ndarray:
     rhs[3::4], rhs[4::4] = -4 * cos_w, -4 * sin_w
     m = np.empty(N + 1)
     m[0] = 2.0 * sin_w / w if w else 2.0
-    first = 0  # index of the first row solved, k = first + 1
-    if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
-        m[1] = 2.0 * (sin_w - w * cos_w) / (w * w)
-        rhs[1] += 3 * w * m[1]  # row 2's known M_1 term
-        first = 1
-    *_, m[first + 1 :], info = dgtsv(
-        below[first:], diagonal[first:], above[first:], rhs[first:], 1, 1, 1, 1
-    )
-    if info:
-        row = first + info
-        raise SingularMatrixError(f"zero pivot in moment recurrence row {row}", row)
+    if forward:
+        # rows divided by -w so that no entry overflows; row k gives m_{k+1}
+        m[1] = (m[0] - 2 * cos_w) / w
+        rhs /= -w
+        diagonal /= -w
+        rhs[0] -= diagonal[0] * m[1]  # the known M_1 terms of rows 1 and 2
+        rhs[1] -= below[0] * m[1]
+        ab = np.stack((above, diagonal[1:], np.append(below[1:], 0.0)))
+        # the diagonal, above, has no zero, so the solve cannot fail
+        m[2:], _ = dtbtrs(ab, rhs[: N - 1], "L")
+    else:
+        below *= -w
+        above *= -w
+        first = 0  # index of the first row solved, k = first + 1
+        if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
+            m[1] = 2.0 * (sin_w - w * cos_w) / (w * w)
+            rhs[1] += 3 * w * m[1]  # row 2's known M_1 term
+            first = 1
+        *_, m[first + 1 :], info = dgtsv(
+            below[first:], diagonal[first:], above[first:], rhs[first:], 1, 1, 1, 1
+        )
+        if info:
+            row = first + info
+            raise SingularMatrixError(f"zero pivot in moment recurrence row {row}", row)
     M = m[: n + 1].astype(complex)  # M_k = i^k m_k
     M[1::2] *= 1j
     M[2::4] *= -1
@@ -336,16 +346,14 @@ def integrate_on_interval(
 
     The interval is mapped onto [-1, 1]; the effective frequency
     becomes w = omega*(b-a)/2 and the constant phase shift
-    exp(i*omega*(b+a)/2) multiplies the result. Where |w| > n the
-    Levin system is solved on the direct path (:func:`integrate_standard`).
-    At |w| <= n, where the Levin value is the exact integral of the
-    amplitude's degree-n interpolant times exp(i*w*x), that integral is
-    taken directly: the Chebyshev coefficients of the n+1 Gauss-Lobatto
-    samples against the moments of T_k (the Filon-Clenshaw-Curtis rule
-    of Dominguez, Graham & Smyshlyaev, IMA J. Numer. Anal. 31(4), 2011),
-    with path ``QUADRATURE`` and a NaN residual. w = 0 is a case of that
-    route, where it is the Clenshaw-Curtis rule. As on the direct path,
-    ``n`` bounds how much of the amplitude is resolved.
+    exp(i*omega*(b+a)/2) multiplies the result. The value is
+    ``c . M(w, n)``, the Chebyshev coefficients of the amplitude's samples
+    on the n+1 Gauss-Lobatto nodes against the moments of T_k: the Levin
+    value, which is the Filon-Clenshaw-Curtis rule of Dominguez, Graham &
+    Smyshlyaev (IMA J. Numer. Anal. 31(4), 2011). The path says how the
+    moments were computed: ``DIRECT_TRIANGULAR`` where |w| > n and
+    ``QUADRATURE`` elsewhere, w = 0 included. No system in c is solved, so
+    the residual is NaN. ``n`` bounds how much of the amplitude is resolved.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
@@ -355,26 +363,17 @@ def integrate_on_interval(
     half = (b - a) / 2
     mid = (b + a) / 2
     omega_eff = omega * half
-    if abs(omega_eff) <= n:
-        grid = gauss_lobatto_nodes(n)
-        samples = _sample_amplitude(amplitude, half * grid.nodes + mid)
-        c = forward_coefficients(samples, grid)
-        value, path, residual = (
-            c @ _chebyshev_moments(omega_eff, n), SolvePath.QUADRATURE, float("nan")
-        )
-    else:
-        def mapped(t):
-            return amplitude(half * t + mid)
-
-        try:
-            inner = integrate_standard(IntegralProblem(mapped, omega_eff, n))
-        except AmplitudeSamplingError as err:
-            # the solver sampled at t in [-1, 1]; name the caller's x instead
-            raise AmplitudeSamplingError(half * err.node + mid) from None
-        value, path, residual = inner.value, inner.path, inner.residual_norm
+    if not math.isfinite(omega_eff):
+        raise ValueError(f"omega must be finite, got {omega}*(b-a)/2 = {omega_eff}")
+    if not math.isfinite(omega * mid):
+        raise ValueError(f"omega*(a+b)/2 overflows: omega = {omega}, mid = {mid}")
+    grid = gauss_lobatto_nodes(n)
+    samples = _sample_amplitude(amplitude, half * grid.nodes + mid)
+    value = forward_coefficients(samples, grid) @ _chebyshev_moments(omega_eff, n)
+    path = SolvePath.DIRECT_TRIANGULAR if abs(omega_eff) > n else SolvePath.QUADRATURE
     return IntegralResult(
         value=complex(half * np.exp(1j * omega * mid) * value),
         path=path,
         n_used=n,
-        residual_norm=residual,
+        residual_norm=float("nan"),
     )

@@ -121,6 +121,17 @@ class TestIntegrate:
         assert f"{flag} " in err and "complex" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_overflowing_phase_shift_is_solver_error(self, capsys):
+        # omega*(a+b)/2 = 1e310 overflows: no nan+nanj with exit code 0
+        code, out, err = run(
+            capsys,
+            "integrate", "--amplitude", "1", "--omega", "1e300",
+            "--a", "9999999999", "--b", "10000000001", "--n", "8",
+        )
+        assert code == 3
+        assert out == ""
+        assert "overflows" in err
+
     def test_phase_without_derivative_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "--amplitude", "1", "--omega", "5", "--n", "8",

@@ -325,12 +325,13 @@ class TestIntegrateStandard:
 
 
 class TestIntegrateOnInterval:
-    def test_standard_interval_is_identity(self):
-        # above |omega| > n integrate_on_interval runs the Levin solver itself
+    def test_standard_interval_agrees_with_levin_solver(self):
+        # the Levin value is c . M; above |omega| > n both are the direct path
         f = lambda x: np.exp(x)
         a = integrate_on_interval(f, 17.0, -1.0, 1.0, 16)
         b = integrate_standard(IntegralProblem(f, 17.0, 16))
-        assert a.value == b.value
+        assert a.path is b.path is SolvePath.DIRECT_TRIANGULAR
+        assert abs(a.value - b.value) <= 1e-14 * abs(b.value)
 
     def test_closed_form_on_zero_pi(self):
         # int_0^pi e^{ix} dx = (e^{i pi} - 1)/i = 2i
@@ -349,17 +350,41 @@ class TestIntegrateOnInterval:
         with pytest.raises(ValueError):
             integrate_on_interval(lambda x: x, 5.0, 1.0, -1.0, 8)
 
-    @pytest.mark.parametrize("a,b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
-    def test_non_finite_endpoint_rejected_before_sampling(self, a, b):
+    @pytest.mark.parametrize(
+        "a,b,omega,message",
+        [
+            pytest.param(0.0, np.inf, 5.0, "endpoints", id="0.0-inf"),
+            pytest.param(-np.inf, 0.0, 5.0, "endpoints", id="-inf-0.0"),
+            pytest.param(np.nan, 1.0, 5.0, "endpoints", id="nan-1.0"),
+            pytest.param(-1.0, 1.0, np.nan, "omega", id="omega-nan"),
+            pytest.param(-1.0, 1.0, np.inf, "omega", id="omega-inf"),
+            pytest.param(0.0, 1.0, -np.inf, "omega", id="omega--inf"),
+            # omega is finite, omega*(b-a)/2 is not
+            pytest.param(-10.0, 10.0, 1e308, "omega", id="omega_eff-overflow"),
+        ],
+    )
+    def test_non_finite_endpoint_rejected_before_sampling(self, a, b, omega, message):
         sampled = []
 
         def f(x):
             sampled.append(x)
             return np.ones_like(x)
 
-        with pytest.raises(ValueError, match="endpoints must be finite") as err:
-            integrate_on_interval(f, 5.0, a, b, 30)
+        with pytest.raises(ValueError, match=f"{message} must be finite") as err:
+            integrate_on_interval(f, omega, a, b, 30)
         assert type(err.value) is ValueError
+        assert not sampled
+
+    def test_overflowing_phase_shift_rejected_before_sampling(self):
+        # omega*(b-a)/2 = 1e300 is finite, omega*(a+b)/2 = 1e310 is not
+        sampled = []
+
+        def f(x):
+            sampled.append(x)
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError, match=r"omega\*\(a\+b\)/2 overflows"):
+            integrate_on_interval(f, 1e300, 1e10 - 1, 1e10 + 1, 8)
         assert not sampled
 
     def test_zero_effective_frequency_falls_back_to_quadrature(self):
@@ -479,15 +504,66 @@ class TestMomentRoute:
                 assert moment_route_error(-1.2 + 0.7j, omega, n) <= 1e-13
 
 
+# (k, omega, n): the boundary-value solve where |omega| <= n, forwards
+# elsewhere; the ids omit n = 32
+MOMENT_CASES = [
+    pytest.param(k, omega, n, id=f"{k}-{omega}" + ("" if n == 32 else f"-n{n}"))
+    for k, omega, n in [
+        (0, 3.0, 32), (1, 3.0, 32), (1, 1e-3, 32), (2, 0.5, 32), (5, 7.0, 32),
+        (10, 20.0, 32), (30, 30.0, 32), (2, 0.5, 2), (3, 2.0, 3),
+        (5, 40.0, 32), (30, -100.0, 32), (2, 3.0, 2), (1, -7.5, 2), (3, 10.0, 3),
+    ]
+]
+
+
+def refuse_boundary_value_solve(monkeypatch):
+    import oscint.levin
+
+    def refuse(*args):
+        raise AssertionError("the boundary-value dgtsv ran above |omega| > n")
+
+    monkeypatch.setattr(oscint.levin, "dgtsv", refuse)
+
+
+def test_direct_route_matches_closed_form_and_levin_solver(monkeypatch):
+    # |omega| > n: the moments run forwards, the value is still c . M
+    refuse_boundary_value_solve(monkeypatch)
+    rng = np.random.default_rng(13)
+    worst_exact = worst_levin = 0.0
+    for _ in range(3000):
+        n = int(rng.integers(2, 257))
+        omega = rng.choice([-1.0, 1.0]) * n * (50.0 - 49.0 * rng.random())
+        alpha = complex(0.5 + rng.random(), rng.uniform(-1.5, 1.5))
+        f = lambda x: np.exp(alpha * x)
+        result = integrate_on_interval(f, omega, -1.0, 1.0, n)
+        assert result.path is SolvePath.DIRECT_TRIANGULAR
+        assert np.isnan(result.residual_norm)
+        levin = integrate_standard(IntegralProblem(f, omega, n)).value
+        worst_levin = max(worst_levin, abs(result.value - levin) / abs(levin))
+        if n >= 24:  # resolved: exp(alpha*x) to rounding
+            z = alpha + 1j * omega
+            exact = 2.0 * np.sinh(z) / z
+            worst_exact = max(worst_exact, abs(result.value - exact) / abs(exact))
+    assert worst_exact <= 1e-11
+    assert worst_levin <= 1e-14
+
+
+@pytest.mark.parametrize("omega", [1e20, 1e200, -1e305, 1.7e308])
+def test_direct_route_at_huge_frequencies(monkeypatch, omega):
+    # no entry of the forward rows, nor w^2 in M_1, may overflow
+    refuse_boundary_value_solve(monkeypatch)
+    result = integrate_on_interval(lambda x: np.exp(0.5 * x), omega, -1.0, 1.0, 1000)
+    z = complex(0.5, omega)
+    exact = 2.0 * np.sinh(z) / z
+    assert abs(result.value - exact) <= 1e-14 * abs(exact)
+
+
 class TestChebyshevMoments:
-    @pytest.mark.parametrize(
-        "k,omega",
-        [(0, 3.0), (1, 3.0), (1, 1e-3), (2, 0.5), (5, 7.0), (10, 20.0), (30, 30.0)],
-    )
-    def test_against_reference_quadrature(self, k, omega):
+    @pytest.mark.parametrize("k,omega,n", MOMENT_CASES)
+    def test_against_reference_quadrature(self, k, omega, n):
         T_k = npcheb.Chebyshev.basis(k)
         expected = oscillatory_reference_quadrature(T_k, omega, -1.0, 1.0, tol=1e-14)
-        got = _chebyshev_moments(omega, max(k, 32))[k]
+        got = _chebyshev_moments(omega, n)[k]
         # the reference stops once two refinements agree to 1e-14
         assert abs(got - expected) <= 5e-14
 
@@ -498,7 +574,7 @@ class TestChebyshevMoments:
         weights[::2] = 2.0 / (1 - k**2)
         np.testing.assert_array_equal(_chebyshev_moments(0.0, n), weights)
 
-    @pytest.mark.parametrize("omega", [-37.0, -0.2, 1e-9, 2.5, 90.0])
+    @pytest.mark.parametrize("omega", [-37.0, -0.2, 1e-9, 2.5, 90.0, 200.0, -200.0])
     def test_even_moments_real_odd_imaginary(self, omega):
         M = _chebyshev_moments(omega, 90)
         assert np.all(M[0::2].imag == 0)
