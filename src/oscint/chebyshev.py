@@ -14,6 +14,14 @@ one complex transform costs about what one real DCT does, where
 transforming the real and imaginary parts separately would cost two.
 A call whose samples repeat the previous call's bit for bit takes no
 transform: the last result is memoised.
+
+The transpose of the same transform maps moments M_k = i^k m_k with real m
+onto node weights W, with ``f . W = forward_coefficients(f) . M`` for every
+sample vector f (``_node_weights``). Since m is real, that is a real type-I
+DCT, packed into one complex FFT of length n: half the length of the
+sample-side transform of complex samples. W depends on the moments, not on
+the samples, so a sweep over omega at one amplitude builds it at every
+omega; it is not memoised.
 """
 
 from __future__ import annotations
@@ -162,6 +170,53 @@ def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarra
     if key is not None:
         _last_transform = (key, c)
     return c
+
+
+def _node_weights(m: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:
+    """Weights W with ``f . W == forward_coefficients(f, grid) . M``.
+
+    ``M_k = i^k m_k`` (k = 0..n) are moments with real ``m``, such as those
+    of exp(i*w*x) against T_k. Since c = (1/n) diag(h) C f and C, the
+    type-I DCT matrix, is symmetric, W = (1/n) diag(h) C M with
+    h_0 = h_n = 1/2 and h_j = 1 otherwise: the transform moves from the
+    samples onto the moments. In r_k = (-1)^(k//2) m_k the real part of M is
+    r at even k and its imaginary part r at odd k, so C M is the DCT of the
+    even-k entries of r plus i times that of the odd-k ones. Both come from
+    one complex FFT of length n: the even extension
+    ``[r_0, ..., r_n, r_{n-1}, ..., r_1]`` read as n complex numbers, whose
+    FFT Z splits into the transforms of its even and odd entries through
+    Z_j and R_j = Z_{n-j} (Z_n = Z_0):
+
+        W_j = h_j/(2n) ((Re Z_j + Re R_j)
+                        + i (x_j (Im Z_j + Im R_j) - sin(pi j/n) (Re Z_j - Re R_j))).
+    """
+    n = grid.n
+    extension = np.empty(2 * n)
+    r = extension[: n + 1]
+    r[:] = m
+    r[2::4] *= -1
+    r[3::4] *= -1
+    extension[n + 1 :] = r[n - 1 : 0 : -1]
+    z = fft(extension.view(np.complex128), overwrite_x=True)
+    z = np.append(z, z[0])
+    x = grid.nodes
+    # sin(pi*j/n) from the nodes: the pair (x_j, sines_j) is a unit vector to
+    # rounding, which is what the rotation below needs, and is cheaper than sin
+    sines = 1.0 - x
+    sines *= 1.0 + x
+    np.sqrt(sines, out=sines)
+    W = np.empty(n + 1, dtype=complex)
+    z_re, z_im = z.real, z.imag
+    np.add(z_re, z_re[::-1], out=W.real)
+    np.add(z_im, z_im[::-1], out=W.imag)
+    W.imag *= x
+    odd = z_re - z_re[::-1]
+    odd *= sines
+    W.imag -= odd
+    W *= 0.5 / n
+    W[0] *= 0.5
+    W[n] *= 0.5
+    return W
 
 
 def endpoint_values(coeffs: SpectralCoefficients) -> tuple[complex, complex]:

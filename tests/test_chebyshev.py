@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
+from scipy.fft import dct
 
 from oscint import chebyshev
 from oscint.chebyshev import (
@@ -231,6 +232,41 @@ class TestTransformMemo:
             with pytest.raises(ValueError):
                 c.flags.writeable = True
         assert forward_coefficients(f, grid).tobytes() == expected.tobytes()
+
+
+def powers_of_i(n):
+    """i^k for k = 0..n, exactly."""
+    return np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
+
+
+class TestNodeWeights:
+    """``_node_weights``: the packed FFT against scipy's type-I DCT."""
+
+    # 16414 = 2*29*283, 54149 = 173*313 and the prime 99991 are lengths
+    # pocketfft runs as Bluestein convolutions
+    @pytest.mark.parametrize("n", [*range(2, 65), 16414, 54149, 99991])
+    def test_matches_type_one_dct_of_the_moments(self, n):
+        grid = gauss_lobatto_nodes(n)
+        m = np.random.default_rng(n).standard_normal(n + 1)
+        M = m * powers_of_i(n)
+        h = np.ones(n + 1)
+        h[0] = h[n] = 0.5
+        expected = h / n * dct(M, type=1)
+        got = chebyshev._node_weights(m, grid)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(
+            got, expected, rtol=0, atol=2e-15 * np.abs(expected).max()
+        )
+
+    @pytest.mark.parametrize("n", [2, 9, 64])
+    def test_samples_dot_weights_is_coefficients_dot_moments(self, n):
+        grid = gauss_lobatto_nodes(n)
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal(n + 1)
+        f = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        expected = forward_coefficients(f, grid) @ (m * powers_of_i(n))
+        got = f @ chebyshev._node_weights(m, grid)
+        assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
 class TestEndpointValues:

@@ -20,6 +20,7 @@ from oscint import (
 from oscint.chebyshev import forward_coefficients, gauss_lobatto_nodes
 from oscint.banded import SingularMatrixError
 from oscint.levin import (
+    _NODE_WEIGHTS_FROM_N,
     _chebyshev_moments,
     assemble_G,
     assemble_rhs,
@@ -393,6 +394,16 @@ class TestIntegrateOnInterval:
         assert result.path is SolvePath.QUADRATURE
         assert np.isnan(result.residual_norm)
 
+    @pytest.mark.parametrize("a,b", [(1e308, 1.7e308), (-1.7e308, -1e308)])
+    @pytest.mark.parametrize("omega", [0.0, 4e-308])
+    def test_overflowing_endpoint_sum_takes_the_halves(self, a, b, omega):
+        # a + b overflows, (b - a)/2 and the integral do not
+        half, mid = b / 2 - a / 2, a / 2 + b / 2
+        w = omega * half
+        expected = 2 * half * np.sinc(w / np.pi) * np.exp(1j * omega * mid)
+        result = integrate_on_interval(lambda x: np.ones_like(x), omega, a, b, 8)
+        assert abs(result.value - expected) <= 1e-14 * abs(expected)
+
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("omega", [0.0, 1e-20, -1e-15])
     def test_zero_frequency_integrates_the_solver_samples(self, monkeypatch, omega, n):
@@ -594,6 +605,72 @@ class TestChebyshevMoments:
         with pytest.raises(SingularMatrixError) as err:
             _chebyshev_moments(5.0, 16)
         assert err.value.index == 4
+
+
+def samples_c_dot_moments(amplitude, omega, n):
+    """c . M on [-1, 1], summed from the samples' coefficients."""
+    grid = gauss_lobatto_nodes(n)
+    samples = np.asarray(amplitude(grid.nodes), dtype=complex)
+    return forward_coefficients(samples, grid) @ _chebyshev_moments(omega, n)
+
+
+class TestNodeWeightRoute:
+    """From degree ``_NODE_WEIGHTS_FROM_N`` on the value is samples . W."""
+
+    EDGE = [_NODE_WEIGHTS_FROM_N - 1, _NODE_WEIGHTS_FROM_N]
+    ALPHA = 0.9 - 0.6j
+
+    @pytest.mark.parametrize("n", EDGE)
+    @pytest.mark.parametrize("ratio", [0.004, -0.6, 0.97, 1.7, -20.0])  # w/n
+    def test_edge_degrees_against_closed_form_and_c_dot_m(self, n, ratio):
+        omega = ratio * n
+        f = lambda x: np.exp(self.ALPHA * x)
+        result = integrate_on_interval(f, omega, -1.0, 1.0, n)
+        z = self.ALPHA + 1j * omega
+        exact = 2.0 * np.sinh(z) / z
+        assert result.path is (
+            SolvePath.DIRECT_TRIANGULAR if abs(ratio) > 1 else SolvePath.QUADRATURE
+        )
+        # as the direct route's seeded test: |exact| falls to 1e-4 at w = 2e4
+        assert abs(result.value - exact) <= 1e-11 * abs(exact)
+        reference = samples_c_dot_moments(f, omega, n)
+        assert abs(result.value - reference) <= 1e-13 * abs(reference)
+
+    @pytest.mark.parametrize(
+        "n,amplitude,calls",
+        [
+            (EDGE[0], lambda x: 1 / (x + 2), {"dct": 1, "fft": 0}),
+            (EDGE[1], lambda x: 1 / (x + 2), {"dct": 0, "fft": 1}),
+            (EDGE[0], lambda x: np.exp((0.5 + 1j) * x), {"dct": 0, "fft": 1}),
+            (EDGE[1], lambda x: np.exp((0.5 + 1j) * x), {"dct": 0, "fft": 1}),
+        ],
+        ids=["real-below", "real-from", "complex-below", "complex-from"],
+    )
+    def test_one_transform_either_side(self, monkeypatch, n, amplitude, calls):
+        counted = count_transforms(monkeypatch)
+        integrate_on_interval(amplitude, 3.0 * n, -1.0, 1.0, n)
+        assert counted == calls
+
+    @pytest.mark.parametrize("n", [_NODE_WEIGHTS_FROM_N, _NODE_WEIGHTS_FROM_N + 1])
+    def test_zero_frequency_is_clenshaw_curtis(self, n):
+        grid = gauss_lobatto_nodes(n)
+        weights = np.zeros(n + 1)
+        k = np.arange(0, n + 1, 2)
+        weights[::2] = 2.0 / (1 - k**2)
+        clenshaw_curtis = forward_coefficients(np.exp(grid.nodes), grid) @ weights
+        result = integrate_on_interval(np.exp, 0.0, -1.0, 1.0, n)
+        assert result.path is SolvePath.QUADRATURE
+        assert abs(result.value - clenshaw_curtis) <= 1e-15 * abs(clenshaw_curtis)
+        assert abs(result.value - 2 * np.sinh(1.0)) <= 1e-14
+
+    def test_tiny_frequency_is_not_zero(self):
+        alpha = 1.019 - 1.0542j
+        n = _NODE_WEIGHTS_FROM_N
+        result = integrate_on_interval(lambda x: np.exp(alpha * x), 1e-11, -1.0, 1.0, n)
+        z = alpha + 1e-11j
+        exact = 2.0 * np.sinh(z) / z  # 1.8993 - 0.7070j
+        assert result.value != 0
+        assert abs(result.value - exact) <= 1e-14 * abs(exact)
 
 
 class TestAmplitudeDtype:
