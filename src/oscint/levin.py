@@ -11,7 +11,9 @@ a pivoted band LU (``zgbtrf``/``zgbtrs``) otherwise (see :func:`assemble_G`).
 polynomial solves p' + i*omega*p = f_n exactly, so at every frequency its
 value is ``c . M(omega, n)``: the Chebyshev coefficients of the amplitude's
 interpolant f_n against the moments of exp(i*omega*x)
-(:func:`_chebyshev_moments`). Discrete orthogonality lets that sum run from
+(:func:`_chebyshev_moments`), one real LAPACK solve per call whose
+omega-independent row sequences are read from a module-level table
+(:func:`_moment_rows`). Discrete orthogonality lets that sum run from
 either side. Below degree ``_NODE_WEIGHTS_FROM_N`` the transform acts on the
 samples, one memoised complex FFT of length 2n (or one real DCT), so a sweep
 over omega at one amplitude transforms once. From there on it acts on the
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -275,16 +278,67 @@ def integrate_standard(
     )
 
 
+class _MomentRows(NamedTuple):
+    """The omega-independent sequences of the moment rows k = 1..N.
+
+    Entry j of ``diagonal`` and ``rhs`` belongs to row k = j + 1; entry j of
+    ``below`` and ``above`` to the sub- and superdiagonal between unknowns
+    m_{j+1} and m_{j+2}, as LAPACK ``dgtsv`` takes them; ``i_pow`` is i^k for
+    k = 0..N.
+    """
+
+    diagonal: np.ndarray  # 2(k^2 - 1), except 4 in row 1
+    below: np.ndarray  # row k's coefficient of m_{k-1}, over -w: k + 1
+    above: np.ndarray  # row k's coefficient of m_{k+1}, over -w: k - 1, 1 in row 1
+    rhs: np.ndarray  # row k's entry of (2 sin w, 4 cos w, 4 sin w, -4 cos w, -4 sin w)
+    i_pow: np.ndarray  # i^k, k = 0..N
+
+
+def _build_moment_rows(N: int) -> _MomentRows:
+    k = np.arange(1.0, N + 1)
+    diagonal = k * k
+    diagonal -= 1
+    diagonal *= 2
+    diagonal[0] = 4.0
+    above = k[:-1] - 1
+    above[0] = 1.0
+    # -2 B_k / i^k is 2 sin w in row 1 and repeats with period 4 from row 2
+    rhs = np.zeros(N, dtype=np.intp)
+    rhs[1:] = np.arange(N - 1) % 4 + 1
+    i_pow = np.resize([1, 1j, -1, -1j], N + 1)
+    rows = _MomentRows(diagonal, k[1:] + 1, above, rhs, i_pow)
+    for sequence in rows:
+        sequence.flags.writeable = False
+    return rows
+
+
+_moment_rows_table = _build_moment_rows(2)
+_moment_rows_growth = threading.Lock()
+
+
+def _moment_rows(N: int) -> _MomentRows:
+    """The row table with at least N rows, grown to exactly N if it is shorter.
+
+    The table is replaced as a whole, never written into, so a caller reads
+    one consistent tuple; the lock only keeps concurrent growth from
+    replacing a longer table by a shorter one.
+    """
+    global _moment_rows_table
+    rows = _moment_rows_table
+    if len(rows.diagonal) < N:
+        with _moment_rows_growth:
+            if len(_moment_rows_table.diagonal) < N:
+                _moment_rows_table = _build_moment_rows(N)
+            rows = _moment_rows_table
+    return rows
+
+
 def _chebyshev_moments(omega: float, n: int) -> np.ndarray:
     """Moments ``M_k = int_{-1}^{1} T_k(x) exp(i*omega*x) dx``, k = 0..n.
 
     The complex form of :func:`_real_moments`: M_k = i^k m_k.
     """
-    M = _real_moments(omega, n).astype(complex)
-    M[1::2] *= 1j
-    M[2::4] *= -1
-    M[3::4] *= -1
-    return M
+    return _real_moments(omega, n) * _moment_rows(n).i_pow[: n + 1]
 
 
 def _real_moments(omega: float, n: int) -> np.ndarray:
@@ -309,48 +363,54 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
     satisfies row 1 where J_0(w) = 0, making the system singular there. So
     where |J_1(w)| > |J_0(w)|, M_1 is pinned instead and rows 2..N are
     solved, singular only where J_1(w) = 0; the zeros of J_0 and J_1 interlace.
+
+    Nothing in the rows but w depends on the call: their sequences are read
+    as prefixes of a module-level table of read-only arrays
+    (:func:`_moment_rows`), so a call only scales them by w, writes the
+    right-hand side into the moment vector it returns and runs the one solve
+    there. The table stores nothing that depends on w.
     """
     w = float(omega)
     forward = abs(w) > n
     N = n if forward else max(n, math.ceil(1.5 * abs(w))) + 40
+    rows = _moment_rows(N)
     cos_w, sin_w = math.cos(w), math.sin(w)
-    # rows k = 1..N in m: diagonal 2(k^2 - 1), -w(k+1) below, -w(k-1) above,
-    # except row 1: 4 m_1 - w m_2 = 2 sin w
-    diagonal = np.arange(1.0, N + 1)
-    diagonal *= diagonal
-    diagonal -= 1
-    diagonal *= 2
-    diagonal[0] = 4.0
-    below = np.arange(3.0, N + 2)
-    above = np.arange(0.0, N - 1)
-    above[0] = 1.0
-    # -2 B_k / i^k repeats with period 4 from k = 2
-    rhs = np.empty(N)
-    rhs[0] = 2 * sin_w
-    rhs[1::4], rhs[2::4] = 4 * cos_w, 4 * sin_w
-    rhs[3::4], rhs[4::4] = -4 * cos_w, -4 * sin_w
-    m = np.empty(N + 1)
+    rhs = np.array((2 * sin_w, 4 * cos_w, 4 * sin_w, -4 * cos_w, -4 * sin_w))
+    m = np.empty(N + 2)  # row N's right-hand side goes to m[N + 1] when forward
     m[0] = 2.0 * sin_w / w if w else 2.0
     if forward:
-        # rows divided by -w so that no entry overflows; row k gives m_{k+1}
+        # rows divided by -w so that no entry overflows; row k gives m_{k+1},
+        # so its right-hand side is written to m[k + 1]
         m[1] = (m[0] - 2 * cos_w) / w
         rhs /= -w
-        diagonal /= -w
-        rhs[0] -= diagonal[0] * m[1]  # the known M_1 terms of rows 1 and 2
-        rhs[1] -= below[0] * m[1]
-        ab = np.stack((above, diagonal[1:], np.append(below[1:], 0.0)))
+        # mode "wrap" (the indices are in range) lets take write straight to out
+        rhs.take(rows.rhs[:N], out=m[2:], mode="wrap")
+        m[2] -= 4.0 / -w * m[1]  # the known M_1 terms of rows 1 and 2
+        m[3] -= 3.0 * m[1]
+        # lower band storage, Fortran-ordered so that f2py passes it as is
+        ab = np.empty((3, N - 1), order="F")
+        ab[0] = rows.above[: N - 1]
+        np.divide(rows.diagonal[1:N], -w, out=ab[1])
+        ab[2, :-1] = rows.below[1 : N - 1]
+        ab[2, -1] = 0.0
         # the diagonal, above, has no zero, so the solve cannot fail
-        m[2:], _ = dtbtrs(ab, rhs[: N - 1], "L")
+        m[2 : N + 1], _ = dtbtrs(ab, m[2 : N + 1], "L", overwrite_b=1)
     else:
-        below *= -w
-        above *= -w
+        rhs.take(rows.rhs[:N], out=m[1 : N + 1], mode="wrap")
         first = 0  # index of the first row solved, k = first + 1
         if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
-            m[1] = 2.0 * (sin_w - w * cos_w) / (w * w)
-            rhs[1] += 3 * w * m[1]  # row 2's known M_1 term
+            m1 = 2.0 * (sin_w - w * cos_w) / (w * w)
+            m[2] += 3 * w * m1  # row 2's known M_1 term
+            m[1] = m1
             first = 1
-        *_, m[first + 1 :], info = dgtsv(
-            below[first:], diagonal[first:], above[first:], rhs[first:], 1, 1, 1, 1
+        # dgtsv overwrites all four arrays, read-only or not: the diagonal is
+        # passed as a copy
+        *_, m[first + 1 : N + 1], info = dgtsv(
+            rows.below[first : N - 1] * -w,
+            rows.diagonal[first:N].copy(),
+            rows.above[first : N - 1] * -w,
+            m[first + 1 : N + 1],
+            1, 1, 1, 1,
         )
         if info:
             row = first + info
