@@ -2,8 +2,8 @@
 
 Subcommands: ``integrate`` for a single integral, ``converge`` for an
 error-vs-n sweep emitted as CSV, and ``example`` to run an entry of the
-built-in catalog. Exit codes: 0 success, 2 flag/parse errors, 3 solver
-errors.
+built-in catalog. Each flag is checked once, by its argparse ``type`` or
+``choices``. Exit codes: 0 success, 2 usage errors, 3 solver errors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .expr import ParseError, parse_amplitude
 from .levin import integrate_on_interval
 from .oracle import (
     AccuracyNotReachedError,
+    builtin_examples,
     get_example,
     oscillatory_reference_quadrature,
 )
@@ -31,6 +32,33 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _degree(text: str) -> int:
+    """Argument type of a degree: an integer of at least 2."""
+    try:
+        if int(text) >= 2:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
+
+
+def _complex_pair(text: str) -> complex:
+    """Argument type of a complex value written 're,im'."""
+    try:
+        re_s, im_s = text.split(",")
+        return complex(float(re_s), float(im_s))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be 're,im', got {text!r}") from None
+
+
+def _expression(src: str):
+    """Argument type of an expression in x."""
+    try:
+        return parse_amplitude(src)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(f"bad expression {src!r}: {exc}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by :func:`main`."""
@@ -39,40 +67,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Oscillatory Fourier integrals by Chebyshev-Levin collocation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ids = sorted(builtin_examples())
 
     p_int = sub.add_parser("integrate", help="compute a single integral")
-    p_int.add_argument("--amplitude", required=True, help="amplitude expression in x")
+    p_int.set_defaults(run=_cmd_integrate, parser=p_int)
+    p_int.add_argument("--amplitude", type=_expression, required=True, help="f(x)")
     p_int.add_argument("--omega", type=float, required=True)
-    p_int.add_argument("--n", type=int, required=True)
+    p_int.add_argument("--n", type=_degree, required=True)
     p_int.add_argument("--a", type=float, default=-1.0)
     p_int.add_argument("--b", type=float, default=1.0)
-    p_int.add_argument("--phase", help="nonlinear phase g(x); must be monotone")
-    p_int.add_argument("--phase-derivative", help="g'(x), required with --phase")
+    p_int.add_argument("--phase", type=_expression, help="g(x); must be monotone")
+    p_int.add_argument("--phase-derivative", type=_expression, help="g'(x)")
 
     p_conv = sub.add_parser("converge", help="error-vs-n sweep as CSV")
+    p_conv.set_defaults(run=_cmd_converge, parser=p_conv)
     src = p_conv.add_mutually_exclusive_group(required=True)
-    src.add_argument("--amplitude", help="amplitude expression in x")
-    src.add_argument("--example", type=int, help="built-in example id (1..7)")
+    src.add_argument("--amplitude", type=_expression, help="f(x)")
+    src.add_argument("--example", type=int, choices=ids, help="built-in example id")
     p_conv.add_argument("--omega", type=float, required=True)
-    p_conv.add_argument("--n-min", type=int, required=True)
-    p_conv.add_argument("--n-max", type=int, required=True)
+    p_conv.add_argument("--n-min", type=_degree, required=True)
+    p_conv.add_argument("--n-max", type=_degree, required=True)
     p_conv.add_argument("--n-step", type=int, default=1)
-    p_conv.add_argument("--exact", help="reference value as 're,im'")
+    p_conv.add_argument("--exact", type=_complex_pair, help="reference as 're,im'")
     p_conv.add_argument("--alpha", type=float)
 
     p_ex = sub.add_parser("example", help="run a built-in catalog entry")
-    p_ex.add_argument("id", type=int, help="example id (1..7)")
+    p_ex.set_defaults(run=_cmd_example, parser=p_ex)
+    p_ex.add_argument("example", metavar="id", type=int, choices=ids, help="example id")
     p_ex.add_argument("--omega", type=float, required=True)
     p_ex.add_argument("--alpha", type=float)
-    p_ex.add_argument("--n", type=int, required=True)
+    p_ex.add_argument("--n", type=_degree, required=True)
     return parser
-
-
-def _parse_expr(src: str, parser: argparse.ArgumentParser):
-    try:
-        return parse_amplitude(src)
-    except ParseError as exc:
-        parser.error(f"bad expression {src!r}: {exc}")
 
 
 def _real_fn(expr, flag: str):
@@ -90,16 +115,21 @@ def _real_fn(expr, flag: str):
     return f
 
 
-def _cmd_integrate(args, parser) -> int:
-    amplitude = _parse_expr(args.amplitude, parser)
-    a, b = args.a, args.b
+def _catalog_entry(args):
+    """The catalog entry named by ``args.example``; ``--alpha`` needs its parameter."""
+    spec = get_example(args.example)
+    if args.alpha is not None and spec.default_alpha is None:
+        args.parser.error(f"--alpha: example {spec.key} has no parameter")
+    return spec
+
+
+def _cmd_integrate(args) -> int:
+    amplitude, a, b = args.amplitude, args.a, args.b
     if args.phase is not None:
         if args.phase_derivative is None:
-            parser.error("--phase requires --phase-derivative")
-        g = _real_fn(_parse_expr(args.phase, parser), "--phase")
-        gp = _real_fn(
-            _parse_expr(args.phase_derivative, parser), "--phase-derivative"
-        )
+            args.parser.error("--phase requires --phase-derivative")
+        g = _real_fn(args.phase, "--phase")
+        gp = _real_fn(args.phase_derivative, "--phase-derivative")
         spec = PhaseSpec(g=g, g_prime=gp, bracket=(a, b))
         amplitude, (a, b), _ = substitute(amplitude, spec, args.omega)
     result = integrate_on_interval(amplitude, args.omega, a, b, args.n)
@@ -110,53 +140,32 @@ def _cmd_integrate(args, parser) -> int:
     return 0
 
 
-def _resolve_exact(args, amplitude, interval):
-    if args.exact is not None:
-        re_s, im_s = args.exact.split(",")
-        return complex(float(re_s), float(im_s))
+def _cmd_converge(args) -> int:
+    if args.n_max < args.n_min or args.n_step < 1:
+        args.parser.error("invalid n range")
+    amplitude, (a, b), exact = args.amplitude, (-1.0, 1.0), args.exact
     if args.example is not None:
-        spec = get_example(args.example)
-        known = spec.exact_value(args.omega, args.alpha)
-        if known is not None:
-            return known
-    return oscillatory_reference_quadrature(
-        amplitude, args.omega, interval[0], interval[1], tol=1e-13
-    )
-
-
-def _cmd_converge(args, parser) -> int:
-    if args.example is not None:
-        spec = get_example(args.example)
-        amplitude = spec.amplitude(args.alpha)
-        interval = spec.interval
-    else:
-        amplitude = _parse_expr(args.amplitude, parser)
-        interval = (-1.0, 1.0)
-    if args.n_min < 2 or args.n_max < args.n_min or args.n_step < 1:
-        parser.error("invalid n range")
-    exact = _resolve_exact(args, amplitude, interval)
+        spec = _catalog_entry(args)
+        amplitude, (a, b) = spec.amplitude(args.alpha), spec.interval
+        if exact is None:
+            exact = spec.exact_value(args.omega, args.alpha)
+    if exact is None:
+        exact = oscillatory_reference_quadrature(amplitude, args.omega, a, b, tol=1e-13)
     print("n,abs_error,real,imag,path")
     for n in range(args.n_min, args.n_max + 1, args.n_step):
-        result = integrate_on_interval(
-            amplitude, args.omega, interval[0], interval[1], n
-        )
-        err = abs(result.value - exact)
+        result = integrate_on_interval(amplitude, args.omega, a, b, n)
         print(
-            f"{n},{_fmt(err)},{_fmt(result.value.real)},"
+            f"{n},{_fmt(abs(result.value - exact))},{_fmt(result.value.real)},"
             f"{_fmt(result.value.imag)},{result.path.value}"
         )
     return 0
 
 
-def _cmd_example(args, parser) -> int:
-    try:
-        spec = get_example(args.id)
-    except KeyError as exc:
-        parser.error(str(exc))
-    amplitude = spec.amplitude(args.alpha)
+def _cmd_example(args) -> int:
+    spec = _catalog_entry(args)
     a, b = spec.interval
-    result = integrate_on_interval(amplitude, args.omega, a, b, args.n)
-    print(f"example {args.id}: {spec.description}")
+    result = integrate_on_interval(spec.amplitude(args.alpha), args.omega, a, b, args.n)
+    print(f"example {args.example}: {spec.description}")
     print(f"computed = {_fmt(result.value.real)} {_fmt(result.value.imag)}")
     exact = spec.exact_value(args.omega, args.alpha)
     if exact is not None:
@@ -168,14 +177,9 @@ def _cmd_example(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "integrate":
-            return _cmd_integrate(args, parser)
-        if args.command == "converge":
-            return _cmd_converge(args, parser)
-        return _cmd_example(args, parser)
+        return args.run(args)
     except _SOLVER_ERRORS as exc:
         print(f"oscint: error: {exc}", file=sys.stderr)
         return 3

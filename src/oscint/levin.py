@@ -43,7 +43,6 @@ from .banded import (
     upper_triangular_backsolve,
 )
 from .chebyshev import (
-    ChebyshevGrid,
     SpectralCoefficients,
     _node_weights,
     check_degree,
@@ -200,17 +199,17 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
     return fv
 
 
-def assemble_rhs(problem: IntegralProblem, grid: ChebyshevGrid) -> np.ndarray:
+def assemble_rhs(problem: IntegralProblem) -> np.ndarray:
     """Right-hand side matching :func:`assemble_G`.
 
-    Chebyshev interpolation coefficients of the sampled amplitude,
-    combined by the same row operations that band-compress the matrix:
-    ``diag(1/2, 1, ..., 1) . 2 S0`` applied to the coefficients.
+    Chebyshev interpolation coefficients of the amplitude sampled on the
+    degree-``problem.n`` Gauss-Lobatto grid, combined by the same row
+    operations that band-compress the matrix: ``diag(1/2, 1, ..., 1) . 2 S0``
+    applied to the coefficients.
     """
-    if grid.n != problem.n:
-        raise ValueError("grid degree does not match problem degree")
+    n = problem.n
+    grid = gauss_lobatto_nodes(n)
     c = forward_coefficients(_sample_amplitude(problem.amplitude, grid.nodes), grid)
-    n = grid.n
     rhs = c.copy()
     rhs[0] -= c[2] / 2
     rhs[1 : n - 1] -= c[3 : n + 1]
@@ -233,9 +232,8 @@ def solve_coefficients(
     """
     if force_path is SolvePath.QUADRATURE:
         raise ValueError("the quadrature fallback solves no banded system")
-    grid = gauss_lobatto_nodes(problem.n)
     G = assemble_G(problem.omega, problem.n)
-    rhs = assemble_rhs(problem, grid)
+    rhs = assemble_rhs(problem)
     if force_path is not None:
         path = force_path
     elif abs(problem.omega) > problem.n:

@@ -3,8 +3,8 @@ reference quadrature, the dense transform and differentiation matrices
 they are built from, and the built-in example catalog.
 
 These are deliberately simple and may be orders of magnitude slower
-than the banded solver; they exist to validate it and to supply exact
-values for convergence studies.
+than the banded solver, whose amplitude sampling contract they share;
+they validate it and supply exact values for convergence studies.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .chebyshev import ChebyshevGrid, SpectralCoefficients, gauss_lobatto_nodes
-from .levin import IntegralProblem
+from .levin import IntegralProblem, _sample_amplitude
 
 __all__ = [
     "AccuracyNotReachedError",
@@ -110,8 +110,7 @@ def dense_collocation_solve(problem: IntegralProblem) -> SpectralCoefficients:
     T = transform_matrix(grid)
     B = spectral_diff_matrix(n)
     A = T @ (B + 1j * problem.omega * np.eye(n + 1))
-    f = np.asarray(problem.amplitude(grid.nodes), dtype=complex)
-    f = np.broadcast_to(f, grid.nodes.shape).astype(complex)
+    f = _sample_amplitude(problem.amplitude, grid.nodes)
     return SpectralCoefficients(c=np.linalg.solve(A, f))
 
 
@@ -127,7 +126,6 @@ def _clenshaw_curtis_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     halves[0] = halves[m] = 0.5
     j = np.arange(m + 1)
     moments = np.where(j % 2 == 0, 2.0 / (1.0 - j.astype(float) ** 2 + (j % 2)), 0.0)
-    moments[j % 2 == 1] = 0.0
     weights = (T * moments[None, :] * gamma[None, :]).sum(axis=1) * halves
     return grid.nodes, weights
 
@@ -144,10 +142,8 @@ def _panel_sum(
     centers = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     X = centers[:, None] + half * x_ref[None, :]
-    F = np.asarray(amplitude(X.ravel()), dtype=complex)
-    F = np.broadcast_to(F, X.ravel().shape).reshape(X.shape)
-    F = F * np.exp(1j * omega * X)
-    return complex(half * np.sum(F @ w_ref))
+    F = _sample_amplitude(amplitude, X.ravel()).reshape(X.shape)
+    return complex(half * np.sum(F * np.exp(1j * omega * X) @ w_ref))
 
 
 def oscillatory_reference_quadrature(

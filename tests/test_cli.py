@@ -226,3 +226,106 @@ class TestExample:
         with pytest.raises(SystemExit) as exc:
             main(["example", "9", "--omega", "1", "--n", "8"])
         assert exc.value.code == 2
+
+
+def usage_error(capsys, *argv):
+    """Run main; assert it exits 2 with the subcommand's usage line; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: oscint {argv[0]} ")
+    return captured.err
+
+
+class TestUsageErrors:
+    """Each flag is checked where it enters, by argparse: exit 2, never 3."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["integrate", "--amplitude", "1", "--omega", "5", "--n", "1"], "--n"),
+            (["integrate", "--amplitude", "1", "--omega", "5", "--n", "x"], "--n"),
+            (["example", "1", "--omega", "10", "--n", "1"], "--n"),
+            (["converge", "--amplitude", "x", "--omega", "5",
+              "--n-min", "1", "--n-max", "8"], "--n-min"),
+            (["converge", "--amplitude", "x", "--omega", "5",
+              "--n-min", "4", "--n-max", "0"], "--n-max"),
+        ],
+    )
+    def test_degree_below_two(self, capsys, argv, flag):
+        err = usage_error(capsys, *argv)
+        assert f"argument {flag}: must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("exact", ["1", "a,b", "1,2,3", ""])
+    def test_malformed_exact(self, capsys, exact):
+        err = usage_error(
+            capsys, "converge", "--amplitude", "x", "--omega", "5",
+            "--n-min", "4", "--n-max", "8", f"--exact={exact}",
+        )
+        assert "argument --exact: must be 're,im'" in err
+
+    def test_unknown_example_in_converge(self, capsys):
+        err = usage_error(
+            capsys, "converge", "--example", "9", "--omega", "5",
+            "--n-min", "4", "--n-max", "8",
+        )
+        assert "argument --example: invalid choice: 9" in err
+
+    def test_unknown_example_id(self, capsys):
+        err = usage_error(capsys, "example", "9", "--omega", "5", "--n", "8")
+        assert "argument id: invalid choice: 9" in err
+
+    @pytest.mark.parametrize("flag", ["--amplitude", "--phase", "--phase-derivative"])
+    def test_bad_expression_keeps_the_offset(self, capsys, flag):
+        argv = {"--amplitude": "1", "--phase": "x", "--phase-derivative": "1"}
+        argv[flag] = "1+"
+        err = usage_error(
+            capsys, "integrate", "--omega", "5", "--n", "8",
+            *(part for item in argv.items() for part in item),
+        )
+        assert f"argument {flag}: bad expression '1+': at offset 2" in err
+
+    @pytest.mark.parametrize("key", [1, 2, 7])
+    def test_alpha_on_parameterless_entry(self, capsys, key):
+        err = usage_error(
+            capsys, "example", str(key), "--omega", "10", "--alpha", "5", "--n", "30"
+        )
+        assert f"--alpha: example {key} has no parameter" in err
+        err = usage_error(
+            capsys, "converge", "--example", str(key), "--omega", "10",
+            "--alpha", "5", "--n-min", "8", "--n-max", "9",
+        )
+        assert f"--alpha: example {key} has no parameter" in err
+
+    def test_invalid_step(self, capsys):
+        err = usage_error(
+            capsys, "converge", "--example", "1", "--omega", "10",
+            "--n-min", "8", "--n-max", "9", "--n-step", "0",
+        )
+        assert "invalid n range" in err
+
+
+class TestNonFiniteAmplitude:
+    def test_reference_quadrature_is_solver_error(self, capsys, monkeypatch):
+        # the cap keeps a regression (panels doubling on NaN) small and fast
+        import oscint.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_MAX_PANELS", 2**10)
+        code, out, err = run(
+            capsys,
+            "converge", "--amplitude", "1/(x-x)", "--omega", "5",
+            "--n-min", "4", "--n-max", "4",
+        )
+        assert code == 3
+        assert out == ""
+        assert "amplitude is not finite at node" in err
+
+    def test_solver_samples_are_solver_error(self, capsys):
+        code, out, err = run(
+            capsys, "integrate", "--amplitude", "1/x", "--omega", "5", "--n", "8"
+        )
+        assert code == 3
+        assert out == ""
+        assert "not finite at node x = 0.0" in err

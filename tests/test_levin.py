@@ -135,19 +135,19 @@ class TestAssembleG:
         amp = lambda x: npcheb.chebval(x, coeffs)
         grid = gauss_lobatto_nodes(n)
         c = forward_coefficients(amp(grid.nodes), grid)
-        rhs = assemble_rhs(IntegralProblem(amp, omega, n), grid)
+        rhs = assemble_rhs(IntegralProblem(amp, omega, n))
         np.testing.assert_array_equal(rhs, scale @ (2 * S0) @ c)
 
 
 class TestAssembleRHS:
     def test_constant_amplitude(self):
         problem = IntegralProblem(lambda x: np.ones_like(x), 5.0, 4)
-        rhs = assemble_rhs(problem, gauss_lobatto_nodes(4))
+        rhs = assemble_rhs(problem)
         np.testing.assert_allclose(rhs, [1, 0, 0, 0, 0], atol=1e-15)
 
     def test_quadratic_amplitude(self):
         problem = IntegralProblem(lambda x: x**2, 5.0, 4)
-        rhs = assemble_rhs(problem, gauss_lobatto_nodes(4))
+        rhs = assemble_rhs(problem)
         np.testing.assert_allclose(rhs, [0.25, 0, 0.5, 0, 0], atol=1e-15)
 
     def test_matches_dense_assembly_oracle(self):
@@ -156,7 +156,7 @@ class TestAssembleRHS:
         coeffs = rng.standard_normal(n + 1)
         amp = lambda x: npcheb.chebval(x, coeffs)
         grid = gauss_lobatto_nodes(n)
-        rhs = assemble_rhs(IntegralProblem(amp, 3.0, n), grid)
+        rhs = assemble_rhs(IntegralProblem(amp, 3.0, n))
         expected = band_compressor(n) @ forward_coefficients(amp(grid.nodes), grid)
         np.testing.assert_allclose(rhs, expected, atol=1e-12)
 
@@ -166,14 +166,8 @@ class TestAssembleRHS:
                 return 1.0 / x  # infinite at the midpoint node
 
         with pytest.raises(AmplitudeSamplingError) as err:
-            assemble_rhs(IntegralProblem(amp, 5.0, 4), gauss_lobatto_nodes(4))
+            assemble_rhs(IntegralProblem(amp, 5.0, 4))
         assert err.value.node == 0.0
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_rhs(
-                IntegralProblem(lambda x: x, 5.0, 4), gauss_lobatto_nodes(6)
-            )
 
 
 class TestSolveCoefficients:

@@ -3,6 +3,7 @@ import pytest
 
 from oscint import (
     AccuracyNotReachedError,
+    AmplitudeSamplingError,
     IntegralProblem,
     builtin_examples,
     get_example,
@@ -32,6 +33,17 @@ class TestDenseCollocationSolve:
         x = np.cos(np.pi * np.arange(n + 1) / n)
         lhs = npcheb.chebval(x, npcheb.chebder(c)) + 1j * omega * npcheb.chebval(x, c)
         np.testing.assert_allclose(lhs, f(x), atol=1e-11)
+
+    def test_non_finite_amplitude_reports_node(self):
+        # the solver's sampling contract: the first non-finite sample names its node
+        amp = lambda x: np.where(np.abs(x) < 0.1, np.nan, 1.0)
+        with pytest.raises(AmplitudeSamplingError) as err:
+            dense_collocation_solve(IntegralProblem(amp, 5.0, 4))
+        assert err.value.node == 0.0
+
+    def test_scalar_amplitude_broadcasts(self):
+        c = dense_collocation_solve(IntegralProblem(lambda x: 5j, 5.0, 6)).c
+        np.testing.assert_allclose(c, [1, 0, 0, 0, 0, 0, 0], atol=1e-12)
 
 
 class TestReferenceQuadrature:
@@ -102,6 +114,42 @@ class TestReferenceQuadrature:
                 lambda x: np.abs(1 - x) ** (-0.9), 1.0, -1.0, 1.0 - 1e-15
             )
         assert np.isfinite(err.value.error_estimate)
+
+    def test_non_finite_amplitude_raises_on_first_pass(self, monkeypatch):
+        # without the check, NaN samples never converge and the panels double
+        # up to the budget; the cap keeps such a regression small and fast
+        import oscint.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_MAX_PANELS", 2**10)
+        calls = []
+        panel_sum = oracle_mod._panel_sum
+
+        def counted(*args):
+            calls.append(args)
+            return panel_sum(*args)
+
+        monkeypatch.setattr(oracle_mod, "_panel_sum", counted)
+        with pytest.raises(AmplitudeSamplingError) as err:
+            oscillatory_reference_quadrature(
+                lambda x: np.where(x > 0.5, np.nan, 1.0), 10.0, -1.0, 1.0
+            )
+        assert len(calls) == 1
+        assert 0.5 < err.value.node <= 1.0
+
+    def test_scalar_amplitude_broadcasts(self):
+        got = oscillatory_reference_quadrature(lambda x: 1.0, 3.0, -1.0, 1.0)
+        assert abs(got - 2 * np.sin(3.0) / 3.0) < 1e-13
+
+    @pytest.mark.parametrize("omega", [0.0, 2.5, 40.0])
+    def test_real_samples_match_their_complex_cast(self, omega):
+        # real samples stay float64; times exp(i*omega*x) they round exactly
+        # as their complex128 cast does
+        from oscint.oracle import _panel_sum
+
+        f = lambda x: np.exp(x) / (x + 3)
+        real = _panel_sum(f, omega, -0.5, 2.0, 16)
+        cast = _panel_sum(lambda x: f(x).astype(complex), omega, -0.5, 2.0, 16)
+        assert real == cast
 
 
 class TestExampleCatalog:
