@@ -4,8 +4,8 @@ A matrix is stored once, in LAPACK general band storage, and that array
 goes to LAPACK without rearranging its bands: to ``ztbtrs`` for the
 triangular back-substitution (kl = 0 is exactly its upper band storage)
 and to ``zgbtrf`` for the pivoted band LU, solved by ``zgbtrs``. The
-array is C-ordered, so scipy's f2py wrappers make a transposed,
-Fortran-ordered copy of it on every call. Out-of-band entries are
+array is Fortran-ordered, the layout LAPACK reads, so scipy's f2py
+wrappers take it without a transposed copy. Out-of-band entries are
 unrepresentable.
 """
 
@@ -60,7 +60,7 @@ class BandedComplexMatrix:
         self.dim = dim
         self.kl = kl
         self.ku = ku
-        self.ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex)
+        self.ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex, order="F")
         # (k, lo, hi) per band k: columns lo <= j < hi hold entry (j - k, j)
         self._columns = [(k, max(k, 0), dim + min(k, 0)) for k in range(-kl, ku + 1)]
 

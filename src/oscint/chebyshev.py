@@ -34,26 +34,11 @@ import numpy as np
 from scipy.fft import dct, fft
 
 __all__ = [
-    "ChebyshevGrid",
     "SpectralCoefficients",
     "gauss_lobatto_nodes",
     "forward_coefficients",
     "endpoint_values",
 ]
-
-
-@dataclass(frozen=True)
-class ChebyshevGrid:
-    """Gauss-Lobatto grid of degree ``n``: nodes cos(pi*k/n), descending."""
-
-    n: int
-    nodes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"grid degree must be >= 1, got {self.n}")
-        if len(self.nodes) != self.n + 1:
-            raise ValueError("node count does not match degree")
 
 
 @dataclass(frozen=True)
@@ -86,15 +71,15 @@ def check_degree(n: int, lowest: int = 1) -> None:
         raise ValueError(f"degree must be >= {lowest}, got {n}")
 
 
-def gauss_lobatto_nodes(n: int) -> ChebyshevGrid:
+def gauss_lobatto_nodes(n: int) -> np.ndarray:
     """Gauss-Lobatto nodes x_k = cos(pi*k/n), k = 0..n, descending.
 
     The endpoints (and the midpoint for even n) are assigned exactly so
     that the symmetry x_k = -x_{n-k} holds without trigonometric
     round-off. Raises ``ValueError`` unless ``n`` is an integer >= 1.
 
-    The grids of the last four degrees are memoised, so repeated calls
-    with one ``n`` return the same (read-only) grid object.
+    The nodes of the last four degrees are memoised, so repeated calls
+    with one ``n`` return the same read-only array.
     """
     # validate before the lookup: 30.0 hashes like 30 and would hit the memo
     check_degree(n)
@@ -102,7 +87,7 @@ def gauss_lobatto_nodes(n: int) -> ChebyshevGrid:
 
 
 @functools.lru_cache(maxsize=4)
-def _grid(n: int) -> ChebyshevGrid:
+def _grid(n: int) -> np.ndarray:
     x = np.cos(np.pi * np.arange(n + 1) / n)
     x[0] = 1.0
     if n % 2 == 0:
@@ -112,8 +97,8 @@ def _grid(n: int) -> ChebyshevGrid:
     x[n + 1 - half :] = -x[:half][::-1]
     x.flags.writeable = False
     # a view of a read-only array cannot be made writeable again, so no
-    # caller can alter the memoised nodes through grid.nodes
-    return ChebyshevGrid(n=n, nodes=x.view())
+    # caller can alter the memoised nodes
+    return x.view()
 
 
 # The last transform of float64 or complex128 samples, as (key, coefficients)
@@ -124,8 +109,8 @@ def _grid(n: int) -> ChebyshevGrid:
 _last_transform = None
 
 
-def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:
-    """Chebyshev interpolation coefficients from samples at the nodes.
+def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from samples at the nodes of degree len - 1.
 
     Returns c with sum_k c_k T_k(x_j) = f(x_j) at every node, computed
     through the half-weighted endpoint sum of discrete orthogonality
@@ -141,15 +126,13 @@ def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarra
     coefficients without a transform; -0.0 and 0.0, or real and complex
     samples of equal value, are different keys. The returned array is
     read-only, on a miss as on a hit: it is a view of a read-only array,
-    so its flag cannot be flipped back. Copy it to modify it.
+    so its flag cannot be flipped back. Copy it to modify it. Fewer than
+    two samples raise ``ValueError``.
     """
     global _last_transform
     f_values = np.asarray(f_values)
-    n = grid.n
-    if len(f_values) != n + 1:
-        raise ValueError(
-            f"expected {n + 1} samples for degree {n}, got {len(f_values)}"
-        )
+    n = len(f_values) - 1
+    check_degree(n)
     key = None
     if f_values.dtype.char in "dD":  # float64 or complex128, either byte order
         key = (f_values.dtype, f_values.shape, f_values.tobytes())
@@ -172,8 +155,8 @@ def forward_coefficients(f_values: np.ndarray, grid: ChebyshevGrid) -> np.ndarra
     return c
 
 
-def _node_weights(m: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:
-    """Weights W with ``f . W == forward_coefficients(f, grid) . M``.
+def _node_weights(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Weights W with ``f . W == forward_coefficients(f) . M`` at the ``nodes`` x_j.
 
     ``M_k = i^k m_k`` (k = 0..n) are moments with real ``m``, such as those
     of exp(i*w*x) against T_k. Since c = (1/n) diag(h) C f and C, the
@@ -190,7 +173,7 @@ def _node_weights(m: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:
         W_j = h_j/(2n) ((Re Z_j + Re R_j)
                         + i (x_j (Im Z_j + Im R_j) - sin(pi j/n) (Re Z_j - Re R_j))).
     """
-    n = grid.n
+    n = len(nodes) - 1
     extension = np.empty(2 * n)
     r = extension[: n + 1]
     r[:] = m
@@ -199,17 +182,16 @@ def _node_weights(m: np.ndarray, grid: ChebyshevGrid) -> np.ndarray:
     extension[n + 1 :] = r[n - 1 : 0 : -1]
     z = fft(extension.view(np.complex128), overwrite_x=True)
     z = np.append(z, z[0])
-    x = grid.nodes
     # sin(pi*j/n) from the nodes: the pair (x_j, sines_j) is a unit vector to
     # rounding, which is what the rotation below needs, and is cheaper than sin
-    sines = 1.0 - x
-    sines *= 1.0 + x
+    sines = 1.0 - nodes
+    sines *= 1.0 + nodes
     np.sqrt(sines, out=sines)
     W = np.empty(n + 1, dtype=complex)
     z_re, z_im = z.real, z.imag
     np.add(z_re, z_re[::-1], out=W.real)
     np.add(z_im, z_im[::-1], out=W.imag)
-    W.imag *= x
+    W.imag *= nodes
     odd = z_re - z_re[::-1]
     odd *= sines
     W.imag -= odd

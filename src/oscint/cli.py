@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -42,13 +43,25 @@ def _degree(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 2, got {text!r}")
 
 
+def _finite_float(text: str) -> float:
+    """Argument type of a finite real number."""
+    try:
+        if math.isfinite(float(text)):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
 def _complex_pair(text: str) -> complex:
-    """Argument type of a complex value written 're,im'."""
+    """Argument type of a complex value written 're,im' with finite parts."""
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be 're,im', got {text!r}") from None
+        return complex(_finite_float(re_s), _finite_float(im_s))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise argparse.ArgumentTypeError(
+            f"must be 're,im' with finite parts, got {text!r}"
+        ) from None
 
 
 def _expression(src: str):
@@ -89,13 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--n-max", type=_degree, required=True)
     p_conv.add_argument("--n-step", type=int, default=1)
     p_conv.add_argument("--exact", type=_complex_pair, help="reference as 're,im'")
-    p_conv.add_argument("--alpha", type=float)
+    p_conv.add_argument("--alpha", type=_finite_float)
 
     p_ex = sub.add_parser("example", help="run a built-in catalog entry")
     p_ex.set_defaults(run=_cmd_example, parser=p_ex)
     p_ex.add_argument("example", metavar="id", type=int, choices=ids, help="example id")
     p_ex.add_argument("--omega", type=float, required=True)
-    p_ex.add_argument("--alpha", type=float)
+    p_ex.add_argument("--alpha", type=_finite_float)
     p_ex.add_argument("--n", type=_degree, required=True)
     return parser
 

@@ -208,8 +208,8 @@ def assemble_rhs(problem: IntegralProblem) -> np.ndarray:
     applied to the coefficients.
     """
     n = problem.n
-    grid = gauss_lobatto_nodes(n)
-    c = forward_coefficients(_sample_amplitude(problem.amplitude, grid.nodes), grid)
+    samples = _sample_amplitude(problem.amplitude, gauss_lobatto_nodes(n))
+    c = forward_coefficients(samples)
     rhs = c.copy()
     rhs[0] -= c[2] / 2
     rhs[1 : n - 1] -= c[3 : n + 1]
@@ -456,12 +456,12 @@ def integrate_on_interval(
         raise ValueError(f"omega must be finite, got {omega}*(b-a)/2 = {omega_eff}")
     if not math.isfinite(omega * mid):
         raise ValueError(f"omega*(a+b)/2 overflows: omega = {omega}, mid = {mid}")
-    grid = gauss_lobatto_nodes(n)
-    samples = _sample_amplitude(amplitude, half * grid.nodes + mid)
+    nodes = gauss_lobatto_nodes(n)
+    samples = _sample_amplitude(amplitude, half * nodes + mid)
     if n < _NODE_WEIGHTS_FROM_N:
-        value = forward_coefficients(samples, grid) @ _chebyshev_moments(omega_eff, n)
+        value = forward_coefficients(samples) @ _chebyshev_moments(omega_eff, n)
     else:
-        value = samples @ _node_weights(_real_moments(omega_eff, n), grid)
+        value = samples @ _node_weights(_real_moments(omega_eff, n), nodes)
     path = SolvePath.DIRECT_TRIANGULAR if abs(omega_eff) > n else SolvePath.QUADRATURE
     return IntegralResult(
         value=complex(half * np.exp(1j * omega * mid) * value),

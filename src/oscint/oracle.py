@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chebyshev import ChebyshevGrid, SpectralCoefficients, gauss_lobatto_nodes
+from .chebyshev import SpectralCoefficients, gauss_lobatto_nodes
 from .levin import IntegralProblem, _sample_amplitude
 
 __all__ = [
@@ -48,35 +48,34 @@ class AccuracyNotReachedError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def transform_matrix(grid: ChebyshevGrid) -> np.ndarray:
+def transform_matrix(nodes: np.ndarray) -> np.ndarray:
     """Matrix T with T[j, k] = T_k(x_j), by the three-term recurrence.
 
-    Maps a coefficient vector to the vector of series values on the
-    grid. Dense; intended for moderate n and for oracle checks.
+    Maps a coefficient vector to the vector of series values on the n+1
+    nodes. Dense; intended for moderate n and for oracle checks.
     """
-    n = grid.n
+    n = len(nodes) - 1
     T = np.empty((n + 1, n + 1))
     T[:, 0] = 1.0
-    T[:, 1] = grid.nodes
+    T[:, 1] = nodes
     for k in range(1, n):
-        T[:, k + 1] = 2.0 * grid.nodes * T[:, k] - T[:, k - 1]
+        T[:, k + 1] = 2.0 * nodes * T[:, k] - T[:, k - 1]
     return T
 
 
-def physical_diff_matrix(grid: ChebyshevGrid) -> np.ndarray:
+def physical_diff_matrix(nodes: np.ndarray) -> np.ndarray:
     """Differentiation matrix acting on function samples at the nodes.
 
     Off-diagonal entries (r_k/r_j)(-1)^(k+j)/(x_k - x_j) with endpoint
     weights r_0 = r_n = 2; the diagonal is the negative row sum, which
     forces exact differentiation of constants.
     """
-    n = grid.n
-    x = grid.nodes
+    n = len(nodes) - 1
     r = np.ones(n + 1)
     r[0] = r[n] = 2.0
     sign = (-1.0) ** np.arange(n + 1)
     # (x_k - x_j) with ones on the diagonal to avoid dividing by zero
-    dx = x[:, None] - x[None, :] + np.eye(n + 1)
+    dx = nodes[:, None] - nodes[None, :] + np.eye(n + 1)
     D = (r[:, None] / r[None, :]) * (sign[:, None] * sign[None, :]) / dx
     np.fill_diagonal(D, 0.0)
     np.fill_diagonal(D, -D.sum(axis=1))
@@ -106,19 +105,19 @@ def dense_collocation_solve(problem: IntegralProblem) -> SpectralCoefficients:
     n = problem.n
     if n > _MAX_ORACLE_DEGREE:
         raise ValueError(f"dense oracle is limited to n <= {_MAX_ORACLE_DEGREE}")
-    grid = gauss_lobatto_nodes(n)
-    T = transform_matrix(grid)
+    nodes = gauss_lobatto_nodes(n)
+    T = transform_matrix(nodes)
     B = spectral_diff_matrix(n)
     A = T @ (B + 1j * problem.omega * np.eye(n + 1))
-    f = _sample_amplitude(problem.amplitude, grid.nodes)
+    f = _sample_amplitude(problem.amplitude, nodes)
     return SpectralCoefficients(c=np.linalg.solve(A, f))
 
 
 @lru_cache(maxsize=8)
 def _clenshaw_curtis_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the (m+1)-point Clenshaw-Curtis rule on [-1, 1]."""
-    grid = gauss_lobatto_nodes(m)
-    T = transform_matrix(grid)
+    nodes = gauss_lobatto_nodes(m)
+    T = transform_matrix(nodes)
     # weight on sample k: sum_j (moment of T_j) * (coefficient map)_{jk}
     gamma = np.full(m + 1, 2.0 / m)
     gamma[0] = gamma[m] = 1.0 / m
@@ -127,7 +126,7 @@ def _clenshaw_curtis_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(m + 1)
     moments = np.where(j % 2 == 0, 2.0 / (1.0 - j.astype(float) ** 2 + (j % 2)), 0.0)
     weights = (T * moments[None, :] * gamma[None, :]).sum(axis=1) * halves
-    return grid.nodes, weights
+    return nodes, weights
 
 
 def _panel_sum(

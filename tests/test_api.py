@@ -1,7 +1,9 @@
-"""The public API, and the solver modules' independence from the oracles."""
+"""The public API, the solver modules' independence from the oracles, and the
+names the benchmark's tracer wraps."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,6 @@ INTERNAL = {
     "forward_coefficients": "oscint.chebyshev",
     "endpoint_values": "oscint.chebyshev",
     "gauss_lobatto_nodes": "oscint.chebyshev",
-    "ChebyshevGrid": "oscint.chebyshev",
     "SpectralCoefficients": "oscint.chebyshev",
     "numeric_inverse": "oscint.phase",
     "dense_collocation_solve": "oscint.oracle",
@@ -79,3 +80,30 @@ def test_solver_modules_do_not_import_the_oracle(module):
     path = Path(oscint.__file__).with_name(f"{module}.py")
     imported = [m for m in _imported_modules(path) if "oracle" in m.split(".")]
     assert imported == []
+
+
+def _bench_span_targets():
+    """``TARGETS`` of ``bench/spans.py``, loaded from its file as it stands."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+SPAN_TARGETS = _bench_span_targets()
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_TARGETS))
+def test_bench_span_target_resolves(name):
+    module_name, path = SPAN_TARGETS[name]
+    owner_name, _, attr = path.rpartition(".")
+    module = importlib.import_module(module_name)
+    owner = getattr(module, owner_name) if owner_name else module
+    # looked up as the tracer does: in the owner's own namespace
+    assert callable(vars(owner).get(attr))
+
+
+def test_levin_calls_the_traced_lu_solve():
+    # the tracer replaces every oscint reference to the one function object
+    assert oscint.levin.lu_solve is oscint.banded.lu_solve

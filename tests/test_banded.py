@@ -60,6 +60,13 @@ class TestStorage:
         with pytest.raises(ValueError):
             M.band(-kl - 1)
 
+    def test_solver_matrices_are_fortran_ordered(self):
+        # the layout LAPACK reads: f2py passes ab to ztbtrs without a copy
+        G = assemble_G(5.0, 8)
+        H, _ = normal_system(G, np.ones(9))
+        assert G.ab.flags.f_contiguous
+        assert H.ab.flags.f_contiguous
+
     def test_band_is_a_view(self):
         M = BandedComplexMatrix(4, 1, 2)
         M.band(1)[2] = 7j

@@ -15,20 +15,20 @@ from oscint.oracle import physical_diff_matrix, spectral_diff_matrix, transform_
 
 class TestGaussLobattoNodes:
     def test_n1(self):
-        assert gauss_lobatto_nodes(1).nodes.tolist() == [1.0, -1.0]
+        assert gauss_lobatto_nodes(1).tolist() == [1.0, -1.0]
 
     def test_n2(self):
-        assert gauss_lobatto_nodes(2).nodes.tolist() == [1.0, 0.0, -1.0]
+        assert gauss_lobatto_nodes(2).tolist() == [1.0, 0.0, -1.0]
 
     def test_n4(self):
         s = np.sqrt(2) / 2
         np.testing.assert_allclose(
-            gauss_lobatto_nodes(4).nodes, [1.0, s, 0.0, -s, -1.0], rtol=0, atol=0
+            gauss_lobatto_nodes(4), [1.0, s, 0.0, -s, -1.0], rtol=0, atol=0
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64])
     def test_symmetry_exact(self, n):
-        x = gauss_lobatto_nodes(n).nodes
+        x = gauss_lobatto_nodes(n)
         # exact antisymmetry, no round-off allowed
         assert np.all(x + x[::-1] == 0.0)
         assert x[0] == 1.0 and x[n] == -1.0
@@ -45,9 +45,8 @@ class TestGaussLobattoNodes:
         assert type(err.value) is ValueError
 
     def test_numpy_integer_degree(self):
-        grid = gauss_lobatto_nodes(np.int64(4))
-        assert grid.n == 4
-        assert grid.nodes.tolist() == gauss_lobatto_nodes(4).nodes.tolist()
+        x = gauss_lobatto_nodes(np.int64(4))
+        assert x.tolist() == gauss_lobatto_nodes(4).tolist()
 
 
 class TestGridMemo:
@@ -60,18 +59,17 @@ class TestGridMemo:
         with pytest.raises(ValueError, match="degree must be an integer"):
             gauss_lobatto_nodes(30.0)
 
-    def test_numpy_integer_degree_gives_python_int(self):
-        grid = gauss_lobatto_nodes(np.int64(30))
-        assert type(grid.n) is int and grid.n == 30
+    def test_numpy_integer_degree_shares_the_memo(self):
+        assert gauss_lobatto_nodes(np.int64(30)) is gauss_lobatto_nodes(30)
 
     def test_cached_nodes_stay_read_only(self):
         gauss_lobatto_nodes(17)
-        grid = gauss_lobatto_nodes(17)
-        assert not grid.nodes.flags.writeable
+        x = gauss_lobatto_nodes(17)
+        assert not x.flags.writeable
         with pytest.raises(ValueError):
-            grid.nodes[1] = 0.0
+            x[1] = 0.0
         with pytest.raises(ValueError):
-            grid.nodes.flags.writeable = True
+            x.flags.writeable = True
 
     def test_memo_holds_at_most_four_grids(self):
         for n in range(100, 110):
@@ -91,9 +89,9 @@ class TestTransformMatrix:
 
     @pytest.mark.parametrize("k", [1, 3, 5, 8])
     def test_trig_identity(self, k):
-        grid = gauss_lobatto_nodes(8)
-        T = transform_matrix(grid)
-        expected = np.cos(k * np.arccos(grid.nodes))
+        x = gauss_lobatto_nodes(8)
+        T = transform_matrix(x)
+        expected = np.cos(k * np.arccos(x))
         np.testing.assert_allclose(T[:, k], expected, atol=1e-13)
 
 
@@ -109,9 +107,9 @@ class TestPhysicalDiffMatrix:
 
     @pytest.mark.parametrize("n", [2, 4, 9, 20])
     def test_differentiates_x_squared(self, n):
-        grid = gauss_lobatto_nodes(n)
-        D = physical_diff_matrix(grid)
-        np.testing.assert_allclose(D @ grid.nodes**2, 2 * grid.nodes, atol=1e-12)
+        x = gauss_lobatto_nodes(n)
+        D = physical_diff_matrix(x)
+        np.testing.assert_allclose(D @ x**2, 2 * x, atol=1e-12)
 
 
 class TestSpectralDiffMatrix:
@@ -131,9 +129,9 @@ class TestSpectralDiffMatrix:
         n = 16
         rng = np.random.default_rng(7)
         c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        grid = gauss_lobatto_nodes(n)
-        T = transform_matrix(grid)
-        D = physical_diff_matrix(grid)
+        x = gauss_lobatto_nodes(n)
+        T = transform_matrix(x)
+        D = physical_diff_matrix(x)
         B = spectral_diff_matrix(n)
         np.testing.assert_allclose(T @ (B @ c), D @ (T @ c), atol=1e-10)
 
@@ -151,48 +149,43 @@ class TestSpectralDiffMatrix:
 
 class TestForwardCoefficients:
     def test_constant(self):
-        grid = gauss_lobatto_nodes(4)
-        c = forward_coefficients(np.ones(5), grid)
+        c = forward_coefficients(np.ones(5))
         np.testing.assert_allclose(c, [1, 0, 0, 0, 0], atol=1e-15)
 
     def test_linear(self):
-        grid = gauss_lobatto_nodes(4)
-        c = forward_coefficients(grid.nodes, grid)
+        c = forward_coefficients(gauss_lobatto_nodes(4))
         np.testing.assert_allclose(c, [0, 1, 0, 0, 0], atol=1e-15)
 
     def test_quadratic(self):
-        grid = gauss_lobatto_nodes(4)
-        c = forward_coefficients(grid.nodes**2, grid)
+        c = forward_coefficients(gauss_lobatto_nodes(4) ** 2)
         np.testing.assert_allclose(c, [0.5, 0, 0.5, 0, 0], atol=1e-15)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            forward_coefficients(np.ones(4), gauss_lobatto_nodes(4))
+    def test_fewer_than_two_samples(self):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            forward_coefficients(np.ones(1))
 
     @pytest.mark.parametrize("n", [3, 8, 21])
     def test_polynomial_round_trip(self, n):
         # exact recovery of Chebyshev coefficients up to and including j = n
         rng = np.random.default_rng(n)
         c_true = rng.standard_normal(n + 1)
-        grid = gauss_lobatto_nodes(n)
-        samples = npcheb.chebval(grid.nodes, c_true)
-        c_back = forward_coefficients(samples, grid)
+        samples = npcheb.chebval(gauss_lobatto_nodes(n), c_true)
+        c_back = forward_coefficients(samples)
         np.testing.assert_allclose(c_back.real, c_true, atol=1e-12)
         np.testing.assert_allclose(c_back.imag, 0, atol=1e-12)
 
     def test_matches_matrix_transform(self):
         # oracle: explicit half-weighted sums through the dense T matrix
         n = 9
-        grid = gauss_lobatto_nodes(n)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        T = transform_matrix(grid)
+        T = transform_matrix(gauss_lobatto_nodes(n))
         w = np.ones(n + 1)
         w[0] = w[n] = 0.5
         gamma = np.full(n + 1, 2.0 / n)
         gamma[0] = gamma[n] = 1.0 / n
         expected = gamma * (T.T @ (w * f))
-        np.testing.assert_allclose(forward_coefficients(f, grid), expected, atol=1e-13)
+        np.testing.assert_allclose(forward_coefficients(f), expected, atol=1e-13)
 
     # power-of-two, small odd and prime lengths; 1009 and 4099 are primes,
     # whose 2n-long transforms pocketfft runs as Bluestein convolutions
@@ -200,8 +193,7 @@ class TestForwardCoefficients:
     def test_matches_dense_oracle(self, n):
         # oracle: half-weighted sums through the dense T matrix, for real
         # samples and for complex ones
-        grid = gauss_lobatto_nodes(n)
-        T = transform_matrix(grid)
+        T = transform_matrix(gauss_lobatto_nodes(n))
         w = np.ones(n + 1)
         w[0] = w[n] = 0.5
         gamma = np.full(n + 1, 2.0 / n)
@@ -211,7 +203,7 @@ class TestForwardCoefficients:
         for f in (re, re + 1j * im):
             # two real products: T stays float64 instead of a complex copy
             expected = gamma * (T.T @ (w * f.real) + 1j * (T.T @ (w * f.imag)))
-            got = forward_coefficients(f, grid)
+            got = forward_coefficients(f)
             assert got.dtype == np.complex128
             np.testing.assert_allclose(
                 got, expected, rtol=0, atol=1e-13 * np.max(np.abs(f))
@@ -221,17 +213,16 @@ class TestForwardCoefficients:
 class TestTransformMemo:
     def test_memoised_coefficients_are_read_only(self, monkeypatch):
         monkeypatch.setattr(chebyshev, "_last_transform", None)
-        grid = gauss_lobatto_nodes(8)
-        f = np.exp(grid.nodes) * (1 + 0.5j)
-        miss = forward_coefficients(f, grid)
-        hit = forward_coefficients(f.copy(), grid)
+        f = np.exp(gauss_lobatto_nodes(8)) * (1 + 0.5j)
+        miss = forward_coefficients(f)
+        hit = forward_coefficients(f.copy())
         expected = miss.copy()
         for c in (miss, hit, np.asarray(hit), hit[::2]):
             with pytest.raises(ValueError, match="read-only"):
                 c[0] = 0.0
             with pytest.raises(ValueError):
                 c.flags.writeable = True
-        assert forward_coefficients(f, grid).tobytes() == expected.tobytes()
+        assert forward_coefficients(f).tobytes() == expected.tobytes()
 
 
 def powers_of_i(n):
@@ -246,13 +237,12 @@ class TestNodeWeights:
     # pocketfft runs as Bluestein convolutions
     @pytest.mark.parametrize("n", [*range(2, 65), 16414, 54149, 99991])
     def test_matches_type_one_dct_of_the_moments(self, n):
-        grid = gauss_lobatto_nodes(n)
         m = np.random.default_rng(n).standard_normal(n + 1)
         M = m * powers_of_i(n)
         h = np.ones(n + 1)
         h[0] = h[n] = 0.5
         expected = h / n * dct(M, type=1)
-        got = chebyshev._node_weights(m, grid)
+        got = chebyshev._node_weights(m, gauss_lobatto_nodes(n))
         assert got.dtype == np.complex128
         np.testing.assert_allclose(
             got, expected, rtol=0, atol=2e-15 * np.abs(expected).max()
@@ -260,12 +250,11 @@ class TestNodeWeights:
 
     @pytest.mark.parametrize("n", [2, 9, 64])
     def test_samples_dot_weights_is_coefficients_dot_moments(self, n):
-        grid = gauss_lobatto_nodes(n)
         rng = np.random.default_rng(n)
         m = rng.standard_normal(n + 1)
         f = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-        expected = forward_coefficients(f, grid) @ (m * powers_of_i(n))
-        got = f @ chebyshev._node_weights(m, grid)
+        expected = forward_coefficients(f) @ (m * powers_of_i(n))
+        got = f @ chebyshev._node_weights(m, gauss_lobatto_nodes(n))
         assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
@@ -289,8 +278,7 @@ class TestEndpointValues:
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
 def test_modified_transform_discrete_orthogonality(n):
-    grid = gauss_lobatto_nodes(n)
-    T = transform_matrix(grid)
+    T = transform_matrix(gauss_lobatto_nodes(n))
     Tm = T.copy()
     Tm[0] /= np.sqrt(2)
     Tm[n] /= np.sqrt(2)
@@ -301,9 +289,9 @@ def test_modified_transform_discrete_orthogonality(n):
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
 def test_diff_commutation_identity(n):
-    grid = gauss_lobatto_nodes(n)
-    T = transform_matrix(grid)
-    D = physical_diff_matrix(grid)
+    x = gauss_lobatto_nodes(n)
+    T = transform_matrix(x)
+    D = physical_diff_matrix(x)
     B = spectral_diff_matrix(n)
     DT = D @ T
     np.testing.assert_allclose(DT, T @ B, atol=1e-10 * np.max(np.abs(DT)))

@@ -258,7 +258,7 @@ class TestUsageErrors:
         err = usage_error(capsys, *argv)
         assert f"argument {flag}: must be an integer >= 2" in err
 
-    @pytest.mark.parametrize("exact", ["1", "a,b", "1,2,3", ""])
+    @pytest.mark.parametrize("exact", ["1", "a,b", "1,2,3", "", "nan,0", "0,-inf"])
     def test_malformed_exact(self, capsys, exact):
         err = usage_error(
             capsys, "converge", "--amplitude", "x", "--omega", "5",
@@ -298,6 +298,17 @@ class TestUsageErrors:
             "--alpha", "5", "--n-min", "8", "--n-max", "9",
         )
         assert f"--alpha: example {key} has no parameter" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "a"])
+    def test_non_finite_alpha(self, capsys, alpha):
+        # caught before the catalog sees it: no output, no RuntimeWarning
+        for argv in (
+            ["example", "3", "--omega", "5", "--n", "8"],
+            ["converge", "--example", "3", "--omega", "5",
+             "--n-min", "4", "--n-max", "5"],
+        ):
+            err = usage_error(capsys, *argv, f"--alpha={alpha}")
+            assert f"argument --alpha: must be a finite number, got '{alpha}'" in err
 
     def test_invalid_step(self, capsys):
         err = usage_error(
