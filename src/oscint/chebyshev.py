@@ -88,12 +88,14 @@ def gauss_lobatto_nodes(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _grid(n: int) -> np.ndarray:
-    x = np.cos(np.pi * np.arange(n + 1) / n)
+    # cosines of the first n//2 + 1 indices only; the upper half is their
+    # mirror, so x_k = -x_{n-k} holds to the last bit
+    half = (n + 1) // 2
+    x = np.empty(n + 1)
+    np.cos(np.pi * np.arange(n + 1 - half) / n, out=x[: n + 1 - half])
     x[0] = 1.0
     if n % 2 == 0:
         x[n // 2] = 0.0
-    # mirror the upper half so x_k = -x_{n-k} holds to the last bit
-    half = (n + 1) // 2
     x[n + 1 - half :] = -x[:half][::-1]
     x.flags.writeable = False
     # a view of a read-only array cannot be made writeable again, so no
@@ -183,10 +185,16 @@ def _node_weights(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     z = fft(extension.view(np.complex128), overwrite_x=True)
     z = np.append(z, z[0])
     # sin(pi*j/n) from the nodes: the pair (x_j, sines_j) is a unit vector to
-    # rounding, which is what the rotation below needs, and is cheaper than sin
-    sines = 1.0 - nodes
-    sines *= 1.0 + nodes
-    np.sqrt(sines, out=sines)
+    # rounding, which is what the rotation below needs, and is cheaper than
+    # sin. It is formed on the first n//2 + 1 nodes and mirrored: since
+    # x_{n-j} = -x_j exactly, (1 - x)(1 + x) takes the same factors there.
+    lower = n // 2 + 1
+    sines = np.empty(n + 1)
+    head = sines[:lower]
+    np.subtract(1.0, nodes[:lower], out=head)
+    head *= 1.0 + nodes[:lower]
+    np.sqrt(head, out=head)
+    sines[lower:] = head[n - lower :: -1]
     W = np.empty(n + 1, dtype=complex)
     z_re, z_im = z.real, z.imag
     np.add(z_re, z_re[::-1], out=W.real)

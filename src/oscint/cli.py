@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int = sub.add_parser("integrate", help="compute a single integral")
     p_int.set_defaults(run=_cmd_integrate, parser=p_int)
     p_int.add_argument("--amplitude", type=_expression, required=True, help="f(x)")
-    p_int.add_argument("--omega", type=float, required=True)
+    p_int.add_argument("--omega", type=_finite_float, required=True)
     p_int.add_argument("--n", type=_degree, required=True)
     p_int.add_argument("--a", type=float, default=-1.0)
     p_int.add_argument("--b", type=float, default=1.0)
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src = p_conv.add_mutually_exclusive_group(required=True)
     src.add_argument("--amplitude", type=_expression, help="f(x)")
     src.add_argument("--example", type=int, choices=ids, help="built-in example id")
-    p_conv.add_argument("--omega", type=float, required=True)
+    p_conv.add_argument("--omega", type=_finite_float, required=True)
     p_conv.add_argument("--n-min", type=_degree, required=True)
     p_conv.add_argument("--n-max", type=_degree, required=True)
     p_conv.add_argument("--n-step", type=int, default=1)
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("example", help="run a built-in catalog entry")
     p_ex.set_defaults(run=_cmd_example, parser=p_ex)
     p_ex.add_argument("example", metavar="id", type=int, choices=ids, help="example id")
-    p_ex.add_argument("--omega", type=float, required=True)
+    p_ex.add_argument("--omega", type=_finite_float, required=True)
     p_ex.add_argument("--alpha", type=_finite_float)
     p_ex.add_argument("--n", type=_degree, required=True)
     return parser

@@ -24,8 +24,10 @@ length n (:func:`oscint.chebyshev._node_weights`), and the value is
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -44,6 +46,7 @@ from .banded import (
 )
 from .chebyshev import (
     SpectralCoefficients,
+    _grid,
     _node_weights,
     check_degree,
     endpoint_values,
@@ -186,6 +189,11 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
     Real samples stay real so that :func:`forward_coefficients` takes one
     real DCT instead of a complex transform. A non-finite sample raises
     :class:`AmplitudeSamplingError` naming its node.
+
+    The check is one pass, the sum of |f|^2 (``np.vdot``), which is finite
+    exactly when every sample is, unless it overflows: only then are the
+    samples scanned one by one, so samples of size 1e200 are accepted
+    without a warning.
     """
     fv = np.asarray(amplitude(nodes))
     dtype = float if fv.dtype.kind in "biuf" else complex
@@ -193,9 +201,10 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
         fv = np.broadcast_to(fv, nodes.shape).astype(dtype)
     else:
         fv = fv.astype(dtype, copy=False)
-    if not np.isfinite(fv).all():
+    if not cmath.isfinite(np.vdot(fv, fv)):
         bad = ~np.isfinite(fv)
-        raise AmplitudeSamplingError(float(nodes[int(np.argmax(bad))]))
+        if bad.any():
+            raise AmplitudeSamplingError(float(nodes[int(np.argmax(bad))]))
     return fv
 
 
@@ -283,6 +292,14 @@ class _MomentRows(NamedTuple):
     ``below`` and ``above`` to the sub- and superdiagonal between unknowns
     m_{j+1} and m_{j+2}, as LAPACK ``dgtsv`` takes them; ``i_pow`` is i^k for
     k = 0..N.
+
+    ``band`` is the forward route's lower band in LAPACK ``dtbtrs`` storage,
+    Fortran-ordered, before its middle row is divided by -w: rows 0, 1 and 2
+    of column j hold ``above[j]``, ``diagonal[j + 1]`` and ``below[j + 1]``,
+    so that a call's band is a copy of its first N - 1 columns. Its last
+    entry, ``band[2, -1]``, would be ``below[N]`` and is 0. LAPACK never
+    reads ``ab[1, -1]`` or ``ab[2, -2:]`` of a band, so a prefix of a longer
+    table solves as the band built for its own N does.
     """
 
     diagonal: np.ndarray  # 2(k^2 - 1), except 4 in row 1
@@ -290,6 +307,7 @@ class _MomentRows(NamedTuple):
     above: np.ndarray  # row k's coefficient of m_{k+1}, over -w: k - 1, 1 in row 1
     rhs: np.ndarray  # row k's entry of (2 sin w, 4 cos w, 4 sin w, -4 cos w, -4 sin w)
     i_pow: np.ndarray  # i^k, k = 0..N
+    band: np.ndarray  # (above, diagonal, below) as the forward route solves them
 
 
 def _build_moment_rows(N: int) -> _MomentRows:
@@ -298,13 +316,18 @@ def _build_moment_rows(N: int) -> _MomentRows:
     diagonal -= 1
     diagonal *= 2
     diagonal[0] = 4.0
+    below = k[1:] + 1
     above = k[:-1] - 1
     above[0] = 1.0
+    band = np.zeros((3, N - 1), order="F")
+    band[0] = above
+    band[1] = diagonal[1:]
+    band[2, :-1] = below[1:]
     # -2 B_k / i^k is 2 sin w in row 1 and repeats with period 4 from row 2
     rhs = np.zeros(N, dtype=np.intp)
     rhs[1:] = np.arange(N - 1) % 4 + 1
     i_pow = np.resize([1, 1j, -1, -1j], N + 1)
-    rows = _MomentRows(diagonal, k[1:] + 1, above, rhs, i_pow)
+    rows = _MomentRows(diagonal, below, above, rhs, i_pow, band)
     for sequence in rows:
         sequence.flags.writeable = False
     return rows
@@ -336,7 +359,10 @@ def _chebyshev_moments(omega: float, n: int) -> np.ndarray:
 
     The complex form of :func:`_real_moments`: M_k = i^k m_k.
     """
-    return _real_moments(omega, n) * _moment_rows(n).i_pow[: n + 1]
+    m = _real_moments(omega, n)
+    # the table that call read holds at least n + 1 powers, and it is only
+    # ever replaced by a longer one
+    return m * _moment_rows_table.i_pow[: n + 1]
 
 
 def _real_moments(omega: float, n: int) -> np.ndarray:
@@ -364,36 +390,40 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
 
     Nothing in the rows but w depends on the call: their sequences are read
     as prefixes of a module-level table of read-only arrays
-    (:func:`_moment_rows`), so a call only scales them by w, writes the
-    right-hand side into the moment vector it returns and runs the one solve
-    there. The table stores nothing that depends on w.
+    (:func:`_moment_rows`). A call forms the five values of its period-4
+    right-hand side from Python floats, already divided by -w on the
+    forward route, and writes them into the moment vector it returns with
+    one ``take``. The forward route then copies the table's band, already in
+    ``dtbtrs`` storage, and divides its middle row by -w; the other scales
+    the sub- and superdiagonal by -w and copies the diagonal. The one solve
+    runs in the moment vector. The table stores nothing that depends on w.
     """
     w = float(omega)
     forward = abs(w) > n
     N = n if forward else max(n, math.ceil(1.5 * abs(w))) + 40
     rows = _moment_rows(N)
     cos_w, sin_w = math.cos(w), math.sin(w)
-    rhs = np.array((2 * sin_w, 4 * cos_w, 4 * sin_w, -4 * cos_w, -4 * sin_w))
     m = np.empty(N + 2)  # row N's right-hand side goes to m[N + 1] when forward
     m[0] = 2.0 * sin_w / w if w else 2.0
     if forward:
         # rows divided by -w so that no entry overflows; row k gives m_{k+1},
         # so its right-hand side is written to m[k + 1]
         m[1] = (m[0] - 2 * cos_w) / w
-        rhs /= -w
+        s = -w
+        rhs = np.array(
+            (2 * sin_w / s, 4 * cos_w / s, 4 * sin_w / s, -4 * cos_w / s, -4 * sin_w / s)
+        )
         # mode "wrap" (the indices are in range) lets take write straight to out
         rhs.take(rows.rhs[:N], out=m[2:], mode="wrap")
-        m[2] -= 4.0 / -w * m[1]  # the known M_1 terms of rows 1 and 2
+        m[2] -= 4.0 / s * m[1]  # the known M_1 terms of rows 1 and 2
         m[3] -= 3.0 * m[1]
         # lower band storage, Fortran-ordered so that f2py passes it as is
-        ab = np.empty((3, N - 1), order="F")
-        ab[0] = rows.above[: N - 1]
-        np.divide(rows.diagonal[1:N], -w, out=ab[1])
-        ab[2, :-1] = rows.below[1 : N - 1]
-        ab[2, -1] = 0.0
+        ab = rows.band[:, : N - 1].copy(order="F")
+        ab[1] /= s
         # the diagonal, above, has no zero, so the solve cannot fail
         m[2 : N + 1], _ = dtbtrs(ab, m[2 : N + 1], "L", overwrite_b=1)
     else:
+        rhs = np.array((2 * sin_w, 4 * cos_w, 4 * sin_w, -4 * cos_w, -4 * sin_w))
         rhs.take(rows.rhs[:N], out=m[1 : N + 1], mode="wrap")
         first = 0  # index of the first row solved, k = first + 1
         if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
@@ -441,6 +471,10 @@ def integrate_on_interval(
     |w| > n and ``QUADRATURE`` elsewhere, w = 0 included. No system in c is
     solved, so the residual is NaN. ``n`` bounds how much of the amplitude
     is resolved.
+
+    On [-1, 1] the amplitude is called with the memoised, read-only node
+    array of :func:`oscint.chebyshev.gauss_lobatto_nodes` itself, as in
+    :func:`integrate_standard`; elsewhere with a fresh array of mapped nodes.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
@@ -456,15 +490,20 @@ def integrate_on_interval(
         raise ValueError(f"omega must be finite, got {omega}*(b-a)/2 = {omega_eff}")
     if not math.isfinite(omega * mid):
         raise ValueError(f"omega*(a+b)/2 overflows: omega = {omega}, mid = {mid}")
-    nodes = gauss_lobatto_nodes(n)
-    samples = _sample_amplitude(amplitude, half * nodes + mid)
+    nodes = _grid(operator.index(n))
+    # on [-1, 1] the map is the identity to the bit: the nodes hold no -0.0
+    x = nodes if half == 1.0 and mid == 0.0 else half * nodes + mid
+    samples = _sample_amplitude(amplitude, x)
     if n < _NODE_WEIGHTS_FROM_N:
         value = forward_coefficients(samples) @ _chebyshev_moments(omega_eff, n)
     else:
         value = samples @ _node_weights(_real_moments(omega_eff, n), nodes)
+    # at mid = 0, half times the phase factor is exactly half + 0j, and numpy
+    # multiplies half * value as that complex number
+    scale = half if mid == 0.0 else half * np.exp(1j * omega * mid)
     path = SolvePath.DIRECT_TRIANGULAR if abs(omega_eff) > n else SolvePath.QUADRATURE
     return IntegralResult(
-        value=complex(half * np.exp(1j * omega * mid) * value),
+        value=complex(scale * value),
         path=path,
         n_used=n,
         residual_norm=float("nan"),

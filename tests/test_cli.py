@@ -310,6 +310,20 @@ class TestUsageErrors:
             err = usage_error(capsys, *argv, f"--alpha={alpha}")
             assert f"argument --alpha: must be a finite number, got '{alpha}'" in err
 
+    @pytest.mark.parametrize(
+        "argv, omega",
+        [
+            (["integrate", "--amplitude", "1", "--n", "8"], "inf"),
+            (["converge", "--example", "3", "--n-min", "4", "--n-max", "5"], "nan"),
+            (["example", "3", "--n", "8"], "-inf"),
+        ],
+    )
+    def test_non_finite_omega(self, capsys, argv, omega):
+        # caught before the solver or the catalog sees it: no CSV header, no
+        # RuntimeWarning
+        err = usage_error(capsys, *argv, f"--omega={omega}")
+        assert f"argument --omega: must be a finite number, got '{omega}'" in err
+
     def test_invalid_step(self, capsys):
         err = usage_error(
             capsys, "converge", "--example", "1", "--omega", "10",
