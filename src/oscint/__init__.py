@@ -1,21 +1,28 @@
 """Oscillatory Fourier integrals by Chebyshev-Levin spectral collocation.
 
-Computes ``int_a^b f(x) exp(i*omega*g(x)) dx`` by collocating the
-slowly varying antiderivative on a Gauss-Lobatto grid, reducing the
-problem to a banded complex linear system solved in O(n) time.
+Computes ``int_a^b f(x) exp(i*omega*g(x)) dx``. The Levin collocation
+polynomial on the Gauss-Lobatto grid integrates to the Chebyshev
+coefficients of the amplitude's samples against the moments of
+exp(i*omega*x): :func:`integrate_on_interval` (:mod:`oscint.moments`)
+sums them after one real LAPACK solve for the moments.
+:func:`integrate_standard` (:mod:`oscint.levin`) is the paper's solver,
+kept as the reference: it solves the banded complex Levin system for the
+antiderivative's coefficients in O(n) time.
 """
 
-from .banded import SingularMatrixError
 from .expr import AmplitudeExpr, ParseError, parse_amplitude
 from .levin import (
-    AmplitudeSamplingError,
     IntegralProblem,
-    IntegralResult,
-    SolvePath,
     SolverOverflowError,
     ZeroFrequencyError,
-    integrate_on_interval,
     integrate_standard,
+)
+from .moments import (
+    AmplitudeSamplingError,
+    IntegralResult,
+    SingularMatrixError,
+    SolvePath,
+    integrate_on_interval,
 )
 from .oracle import (
     AccuracyNotReachedError,

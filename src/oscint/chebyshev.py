@@ -53,10 +53,6 @@ class SpectralCoefficients:
         if not np.isfinite(self.c).all():
             raise ValueError("non-finite Chebyshev coefficient")
 
-    @property
-    def n(self) -> int:
-        return len(self.c) - 1
-
 
 def check_degree(n: int, lowest: int = 1) -> None:
     """Raise ``ValueError`` unless ``n`` is an integer >= ``lowest``.

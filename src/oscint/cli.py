@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .expr import ParseError, parse_amplitude
-from .levin import integrate_on_interval
+from .moments import integrate_on_interval
 from .oracle import (
     AccuracyNotReachedError,
     builtin_examples,
@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--amplitude", type=_expression, required=True, help="f(x)")
     p_int.add_argument("--omega", type=_finite_float, required=True)
     p_int.add_argument("--n", type=_degree, required=True)
-    p_int.add_argument("--a", type=float, default=-1.0)
-    p_int.add_argument("--b", type=float, default=1.0)
+    p_int.add_argument("--a", type=_finite_float, default=-1.0)
+    p_int.add_argument("--b", type=_finite_float, default=1.0)
     p_int.add_argument("--phase", type=_expression, help="g(x); must be monotone")
     p_int.add_argument("--phase-derivative", type=_expression, help="g'(x)")
 

@@ -3,8 +3,11 @@ reference quadrature, the dense transform and differentiation matrices
 they are built from, and the built-in example catalog.
 
 These are deliberately simple and may be orders of magnitude slower
-than the banded solver, whose amplitude sampling contract they share;
-they validate it and supply exact values for convergence studies.
+than the solvers. They sample amplitudes through the solvers' contract
+(:func:`oscint.moments._sample_amplitude`), take standard-form problems as
+:class:`oscint.levin.IntegralProblem`, validate the kernel of
+:mod:`oscint.moments` and the reference solver of :mod:`oscint.levin`, and
+supply exact values for convergence studies.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .chebyshev import SpectralCoefficients, gauss_lobatto_nodes
-from .levin import IntegralProblem, _sample_amplitude
+from .levin import IntegralProblem
+from .moments import _sample_amplitude
 
 __all__ = [
     "AccuracyNotReachedError",

@@ -75,11 +75,25 @@ def _imported_modules(path: Path):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
-@pytest.mark.parametrize("module", ["levin", "chebyshev", "banded", "phase"])
+@pytest.mark.parametrize("module", ["moments", "levin", "chebyshev", "banded", "phase"])
 def test_solver_modules_do_not_import_the_oracle(module):
     path = Path(oscint.__file__).with_name(f"{module}.py")
     imported = [m for m in _imported_modules(path) if "oracle" in m.split(".")]
     assert imported == []
+
+
+def test_kernel_does_not_import_the_reference_solver():
+    # the production kernel stands on numpy, scipy and the Chebyshev layer
+    path = Path(oscint.__file__).with_name("moments.py")
+    imported = [
+        m for m in _imported_modules(path) if {"banded", "levin"} & set(m.split("."))
+    ]
+    assert imported == []
+
+
+def test_one_singular_matrix_error():
+    # raised by the moment recurrence and by the band solvers alike
+    assert oscint.SingularMatrixError is oscint.banded.SingularMatrixError
 
 
 def _bench_span_targets():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.fft import fft
 
-import oscint.levin as levin
+import oscint.moments as moments
 from oscint import AmplitudeSamplingError, SolvePath, integrate_on_interval
 from oscint.chebyshev import _grid, forward_coefficients, gauss_lobatto_nodes
 
@@ -79,8 +79,8 @@ def straightforward_integral(amplitude, omega, a, b, n):
     omega_eff = omega * half
     nodes = full_cosine_grid(n)
     samples = straightforward_samples(amplitude, half * nodes + mid)
-    m = levin._real_moments(omega_eff, n)
-    if n < levin._NODE_WEIGHTS_FROM_N:
+    m = moments._real_moments(omega_eff, n)
+    if n < moments._NODE_WEIGHTS_FROM_N:
         value = forward_coefficients(samples) @ (m * np.resize([1, 1j, -1, -1j], n + 1))
     else:
         value = samples @ straightforward_node_weights(m, nodes)
@@ -128,7 +128,7 @@ def test_values_bit_identical_to_the_straightforward_set_up():
         seen.add(
             (
                 result.path,
-                n >= levin._NODE_WEIGHTS_FROM_N,
+                n >= moments._NODE_WEIGHTS_FROM_N,
                 omega == 0,
                 isinstance(alpha, complex),
                 (a, b) == (-1.0, 1.0),

@@ -324,6 +324,15 @@ class TestUsageErrors:
         err = usage_error(capsys, *argv, f"--omega={omega}")
         assert f"argument --omega: must be a finite number, got '{omega}'" in err
 
+    @pytest.mark.parametrize("flag, value", [("--a", "inf"), ("--b", "nan")])
+    def test_non_finite_endpoint(self, capsys, flag, value):
+        # caught before the solver sees it: exit 2, not the solver's exit 3
+        err = usage_error(
+            capsys, "integrate", "--amplitude", "1", "--omega", "5", "--n", "8",
+            f"{flag}={value}",
+        )
+        assert f"argument {flag}: must be a finite number, got '{value}'" in err
+
     def test_invalid_step(self, capsys):
         err = usage_error(
             capsys, "converge", "--example", "1", "--omega", "10",

@@ -10,6 +10,7 @@ from oscint import (
     AmplitudeSamplingError,
     IntegralProblem,
     PhaseSpec,
+    SingularMatrixError,
     SolvePath,
     SolverOverflowError,
     ZeroFrequencyError,
@@ -18,14 +19,8 @@ from oscint import (
     substitute,
 )
 from oscint.chebyshev import forward_coefficients, gauss_lobatto_nodes
-from oscint.banded import SingularMatrixError
-from oscint.levin import (
-    _NODE_WEIGHTS_FROM_N,
-    _chebyshev_moments,
-    assemble_G,
-    assemble_rhs,
-    solve_coefficients,
-)
+from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
+from oscint.moments import _NODE_WEIGHTS_FROM_N, _chebyshev_moments
 from oscint.oracle import (
     dense_collocation_solve,
     oscillatory_reference_quadrature,
@@ -88,12 +83,12 @@ class TestAssembleG:
     def test_band_structure(self, omega, n):
         G = assemble_G(omega, n)
         assert (G.kl, G.ku) == (0, 2)
-        np.testing.assert_array_equal(G.band(0), np.full(n + 1, 1j * omega))
+        np.testing.assert_array_equal(np.diag(G.to_dense(), 0), np.full(n + 1, 1j * omega))
         sup1 = np.r_[1.0, 2.0 * np.arange(2, n + 1)]
-        np.testing.assert_array_equal(G.band(1), sup1)
+        np.testing.assert_array_equal(np.diag(G.to_dense(), 1), sup1)
         sup2 = np.full(n - 1, -1j * omega)
         sup2[0] = -1j * omega / 2
-        np.testing.assert_array_equal(G.band(2), sup2)
+        np.testing.assert_array_equal(np.diag(G.to_dense(), 2), sup2)
 
     @pytest.mark.parametrize("omega,n", [(5.0, 2), (3.0, 7), (40.0, 12)])
     def test_unused_storage_stays_zero(self, omega, n):
@@ -520,12 +515,12 @@ MOMENT_CASES = [
 
 
 def refuse_boundary_value_solve(monkeypatch):
-    import oscint.levin
+    import oscint.moments
 
     def refuse(*args):
         raise AssertionError("the boundary-value dgtsv ran above |omega| > n")
 
-    monkeypatch.setattr(oscint.levin, "dgtsv", refuse)
+    monkeypatch.setattr(oscint.moments, "dgtsv", refuse)
 
 
 def test_direct_route_matches_closed_form_and_levin_solver(monkeypatch):
@@ -588,12 +583,12 @@ class TestChebyshevMoments:
         )
 
     def test_zero_pivot_is_typed(self, monkeypatch):
-        import oscint.levin
+        import oscint.moments
 
         def singular(dl, d, du, b, *overwrite):
             return dl, d, du, b, 3
 
-        monkeypatch.setattr(oscint.levin, "dgtsv", singular)
+        monkeypatch.setattr(oscint.moments, "dgtsv", singular)
         with pytest.raises(SingularMatrixError) as err:
             _chebyshev_moments(5.0, 16)
         assert err.value.index == 4

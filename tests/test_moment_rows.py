@@ -1,6 +1,6 @@
 """The moment rows' omega-independent table and the per-call moment solve.
 
-``levin._real_moments`` reads the sequences of its rows as prefixes of a
+``moments._real_moments`` reads the sequences of its rows as prefixes of a
 module-level table and does only the omega-dependent work per call. These
 tests hold it to the straightforward construction it replaced, bit for bit.
 """
@@ -14,9 +14,8 @@ import pytest
 from scipy import special
 from scipy.linalg.lapack import dgtsv, dtbtrs
 
-import oscint.levin as levin
-from oscint import SolvePath, integrate_on_interval
-from oscint.banded import SingularMatrixError
+import oscint.moments as moments
+from oscint import SingularMatrixError, SolvePath, integrate_on_interval
 
 
 def straightforward_real_moments(omega, n):
@@ -96,19 +95,19 @@ def seeded_calls(seed, count):
 @pytest.fixture
 def small_table(monkeypatch):
     """Start from a two-row table, so that the calls under test grow it."""
-    monkeypatch.setattr(levin, "_moment_rows_table", levin._build_moment_rows(2))
+    monkeypatch.setattr(moments, "_moment_rows_table", moments._build_moment_rows(2))
 
 
 def test_bit_identical_to_the_straightforward_solve(small_table):
     grown = 2
     for omega, n in seeded_calls(140, 300):
-        m = levin._real_moments(omega, n)
+        m = moments._real_moments(omega, n)
         assert m.tobytes() == straightforward_real_moments(omega, n).tobytes()
-        M = levin._chebyshev_moments(omega, n)
+        M = moments._chebyshev_moments(omega, n)
         np.testing.assert_array_equal(M, straightforward_chebyshev_moments(omega, n))
         # the table is grown to exactly the largest truncation asked for
         grown = max(grown, truncation(omega, n))
-        assert len(levin._moment_rows_table.diagonal) == grown
+        assert len(moments._moment_rows_table.diagonal) == grown
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 1023, 1024, 2500])
@@ -117,8 +116,8 @@ def test_integrals_bit_identical_on_both_routes(monkeypatch, small_table, n, rat
     f = lambda x: np.exp((0.9 - 0.6j) * x)
     omega = ratio * n
     result = integrate_on_interval(f, omega, -1.0, 1.0, n)
-    monkeypatch.setattr(levin, "_real_moments", straightforward_real_moments)
-    monkeypatch.setattr(levin, "_chebyshev_moments", straightforward_chebyshev_moments)
+    monkeypatch.setattr(moments, "_real_moments", straightforward_real_moments)
+    monkeypatch.setattr(moments, "_chebyshev_moments", straightforward_chebyshev_moments)
     expected = integrate_on_interval(f, omega, -1.0, 1.0, n)
     assert result.value == expected.value
     assert result.path is expected.path is (
@@ -128,20 +127,20 @@ def test_integrals_bit_identical_on_both_routes(monkeypatch, small_table, n, rat
 
 def test_table_is_read_only_and_returned_moments_are_fresh(small_table):
     for omega, n in [(5.0, 300), (900.0, 300), (0.0, 2), (2e4, 3000)]:
-        m = levin._real_moments(omega, n)
-        M = levin._chebyshev_moments(omega, n)
+        m = moments._real_moments(omega, n)
+        M = moments._chebyshev_moments(omega, n)
         m[:] = 7.0
         M[:] = 7.0
-        assert levin._real_moments(omega, n).tobytes() == (
+        assert moments._real_moments(omega, n).tobytes() == (
             straightforward_real_moments(omega, n).tobytes()
         )
-    table = levin._moment_rows_table
+    table = moments._moment_rows_table
     for sequence in table:
         assert not sequence.flags.writeable
         with pytest.raises(ValueError):
             sequence[0] = 0
     # no solve wrote into it (f2py ignores the read-only flag)
-    fresh = levin._build_moment_rows(len(table.diagonal))
+    fresh = moments._build_moment_rows(len(table.diagonal))
     for sequence, expected in zip(table, fresh):
         assert sequence.tobytes() == expected.tobytes()
 
@@ -152,14 +151,14 @@ def test_concurrent_growth_matches_serial(monkeypatch):
         [(w, n) for n in range(2 + offset, 1500, 37) for w in (0.4 * n, 3.0 * n)]
         for offset in (0, 18)
     ]
-    serial = [[levin._real_moments(w, n).tobytes() for w, n in c] for c in calls]
-    monkeypatch.setattr(levin, "_moment_rows_table", levin._build_moment_rows(2))
+    serial = [[moments._real_moments(w, n).tobytes() for w, n in c] for c in calls]
+    monkeypatch.setattr(moments, "_moment_rows_table", moments._build_moment_rows(2))
     results = [[], []]
     start = threading.Barrier(2, timeout=30)
 
     def run(i):
         start.wait()
-        results[i] = [levin._real_moments(w, n).tobytes() for w, n in calls[i]]
+        results[i] = [moments._real_moments(w, n).tobytes() for w, n in calls[i]]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -173,7 +172,7 @@ def test_concurrent_growth_matches_serial(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == serial
-    assert len(levin._moment_rows_table.diagonal) == max(
+    assert len(moments._moment_rows_table.diagonal) == max(
         truncation(w, n) for c in calls for w, n in c
     )
 
@@ -187,9 +186,9 @@ def test_forward_band_is_fortran_ordered(monkeypatch):
         calls.append(ab.shape)
         return dtbtrs(ab, *args, **kwargs)
 
-    monkeypatch.setattr(levin, "dtbtrs", fortran_only)
+    monkeypatch.setattr(moments, "dtbtrs", fortran_only)
     f = lambda x: np.exp(0.5 * x)
-    for n in (2, 64, levin._NODE_WEIGHTS_FROM_N):
+    for n in (2, 64, moments._NODE_WEIGHTS_FROM_N):
         result = integrate_on_interval(f, 3.0 * n, -1.0, 1.0, n)
         assert result.path is SolvePath.DIRECT_TRIANGULAR
-    assert calls == [(3, 1), (3, 63), (3, levin._NODE_WEIGHTS_FROM_N - 1)]
+    assert calls == [(3, 1), (3, 63), (3, moments._NODE_WEIGHTS_FROM_N - 1)]
