@@ -13,8 +13,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from .expr import ParseError, parse_amplitude
 from .moments import integrate_on_interval
 from .oracle import (
@@ -23,10 +21,12 @@ from .oracle import (
     get_example,
     oscillatory_reference_quadrature,
 )
-from .phase import InversionError, PhaseSpec, substitute
+from .phase import ComplexPhaseError, InversionError, PhaseSpec, substitute
 
 # every other solver error subclasses ValueError
 _SOLVER_ERRORS = (ValueError, AccuracyNotReachedError, InversionError)
+# the flag that gives each phase function a ComplexPhaseError names
+_PHASE_FLAGS = {"g": "--phase", "g'": "--phase-derivative"}
 
 
 def _fmt(x: float) -> str:
@@ -113,21 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _real_fn(expr, flag: str):
-    """Wrap a phase expression as a real function; complex values raise."""
-    def f(x):
-        v = expr(x)
-        complex_at = v.imag != 0
-        if np.any(complex_at):
-            raise ValueError(
-                f"{flag} {expr.source!r} is complex at x = "
-                f"{float(np.asarray(x)[complex_at][0])!r}; phases must be real"
-            )
-        return v.real
-
-    return f
-
-
 def _catalog_entry(args):
     """The catalog entry named by ``args.example``; ``--alpha`` needs its parameter."""
     spec = get_example(args.example)
@@ -141,9 +126,7 @@ def _cmd_integrate(args) -> int:
     if args.phase is not None:
         if args.phase_derivative is None:
             args.parser.error("--phase requires --phase-derivative")
-        g = _real_fn(args.phase, "--phase")
-        gp = _real_fn(args.phase_derivative, "--phase-derivative")
-        spec = PhaseSpec(g=g, g_prime=gp, bracket=(a, b))
+        spec = PhaseSpec(g=args.phase, g_prime=args.phase_derivative, bracket=(a, b))
         amplitude, (a, b), _ = substitute(amplitude, spec, args.omega)
     result = integrate_on_interval(amplitude, args.omega, a, b, args.n)
     print(
@@ -194,6 +177,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except _SOLVER_ERRORS as exc:
+        if isinstance(exc, ComplexPhaseError):
+            exc = ComplexPhaseError(_PHASE_FLAGS[exc.name], exc.x)
         print(f"oscint: error: {exc}", file=sys.stderr)
         return 3
 

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "PhaseSpec",
     "NonMonotonePhaseError",
+    "ComplexPhaseError",
     "InversionError",
     "substitute",
     "numeric_inverse",
@@ -30,6 +31,21 @@ class NonMonotonePhaseError(ValueError):
     """Phase derivative changes sign (or vanishes) inside the bracket."""
 
 
+class ComplexPhaseError(ValueError):
+    """g, g' or the inverse has a value with a nonzero imaginary part.
+
+    ``name`` is which of them (``"g"``, ``"g'"`` or ``"inverse"``), ``x``
+    the first argument at which it is complex.
+    """
+
+    def __init__(self, name: str, x: float):
+        super().__init__(name, x)
+        self.name, self.x = name, x
+
+    def __str__(self):
+        return f"{self.name} is complex at x = {self.x!r}; phases must be real"
+
+
 class InversionError(RuntimeError):
     """Numeric inversion of the phase failed to converge."""
 
@@ -40,7 +56,9 @@ class PhaseSpec:
 
     ``g``, ``g_prime`` and ``inverse`` are called on float arrays and
     must work elementwise; a scalar return (e.g. ``lambda x: -1.0``) is
-    broadcast to the argument's shape. ``inverse`` is optional; when
+    broadcast to the argument's shape. Their values must be real: a complex
+    dtype is accepted, but a nonzero imaginary part raises
+    :class:`ComplexPhaseError`. ``inverse`` is optional; when
     absent, :func:`numeric_inverse` is used. Monotonicity is probed, not
     proven: :func:`substitute` tabulates g' and g once each at 64
     Chebyshev points of the bracket (its ends included), requires g' to
@@ -63,9 +81,19 @@ class _ProbeTable(NamedTuple):
     g: np.ndarray  # g at ``x``, non-decreasing
 
 
-def _values(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """``fn(x)`` as a float array of ``x``'s shape (scalar returns broadcast)."""
-    v = np.asarray(fn(x), dtype=float)
+def _values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
+    """``fn(x)`` as a float array of ``x``'s shape (scalar returns broadcast).
+
+    A value with a nonzero imaginary part raises :class:`ComplexPhaseError`
+    naming ``name`` and the first such x, where a cast would drop it.
+    """
+    v = np.asarray(fn(x))
+    if v.dtype.kind == "c":
+        if v.imag.any():
+            complex_at = np.broadcast_to(v.imag != 0, x.shape)
+            raise ComplexPhaseError(name, float(x[complex_at][0]))
+        v = v.real
+    v = v.astype(float, copy=False)
     return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
 
 
@@ -79,13 +107,13 @@ def _probe_table(phase: PhaseSpec) -> _ProbeTable:
     a, b = phase.bracket
     x = (b - a) / 2 * _PROBES + (b + a) / 2
     x[0], x[-1] = a, b
-    dv = _values(phase.g_prime, x)
+    dv = _values(phase.g_prime, x, "g'")
     if np.any(dv == 0) or not (np.all(dv > 0) or np.all(dv < 0)):
         raise NonMonotonePhaseError(
             f"phase derivative is not of one sign on [{a}, {b}]"
         )
     sign = 1.0 if dv[0] > 0 else -1.0
-    gv = _values(phase.g, x)
+    gv = _values(phase.g, x, "g")
     if sign < 0:
         x, gv = x[::-1], gv[::-1]
     rising = np.diff(gv) >= 0  # False also where g is NaN
@@ -144,7 +172,7 @@ def numeric_inverse(
     hi = np.full(ys.shape, hi)
     done = np.zeros(ys.shape, dtype=bool)
     for _ in range(_MAX_INVERSE_ITERATIONS):
-        gx = _values(phase.g, x)
+        gx = _values(phase.g, x, "g")
         done |= np.abs(gx - ys) <= tol
         if done.all():
             return float(x[0]) if target.ndim == 0 else x.reshape(target.shape)
@@ -153,7 +181,7 @@ def numeric_inverse(
         hi = np.where(below, hi, x)
         # Newton step, falling back to bisection if it leaves the bracket;
         # converged targets keep their x
-        dg = _values(phase.g_prime, x)
+        dg = _values(phase.g_prime, x, "g'")
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - (gx - ys) / dg
         newton = (dg != 0) & (np.minimum(lo, hi) < xn) & (xn < np.maximum(lo, hi))
@@ -192,8 +220,8 @@ def substitute(
         if phase.inverse is None:
             x = numeric_inverse(phase, ys, _table=table)
         else:
-            x = _values(phase.inverse, ys)
-        dg = _values(phase.g_prime, x)
+            x = _values(phase.inverse, ys, "inverse")
+        dg = _values(phase.g_prime, x, "g'")
         wrong = ~(sign * dg > 0)
         if np.any(wrong):
             raise NonMonotonePhaseError(

@@ -121,6 +121,19 @@ class TestIntegrate:
         assert f"{flag} " in err and "complex" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_linear_complex_phase_is_solver_error(self, capsys):
+        # g = x + i*x is complex everywhere but at 0; the first probe is x = -1
+        code, out, err = run(
+            capsys,
+            "integrate", "--amplitude", "1", "--omega", "5", "--n", "16",
+            "--phase", "x+i*x", "--phase-derivative", "1",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "oscint: error: --phase is complex at x = -1.0; phases must be real\n"
+        )
+
     def test_overflowing_phase_shift_is_solver_error(self, capsys):
         # omega*(a+b)/2 = 1e310 overflows: no nan+nanj with exit code 0
         code, out, err = run(

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ import numpy.polynomial.chebyshev as npcheb
 import pytest
 from scipy.special import jn_zeros
 
+import oscint
 from oscint import (
     AmplitudeSamplingError,
     IntegralProblem,
@@ -36,6 +40,8 @@ TABLE_1 = {
 def count_transforms(monkeypatch):
     """Count the ``dct`` and ``fft`` calls made through ``oscint.chebyshev``.
 
+    Scipy's ``dct`` and ``fft`` are counted where ``oscint.chebyshev`` binds
+    them, and ``numpy.fft.fft``, which the node weights call, as an ``fft``.
     The memoised last transform is forgotten first, so that the count does
     not depend on what an earlier test transformed.
     """
@@ -44,17 +50,18 @@ def count_transforms(monkeypatch):
     monkeypatch.setattr(chebyshev_mod, "_last_transform", None)
     calls = {"dct": 0, "fft": 0}
 
-    def counted(name):
-        inner = getattr(chebyshev_mod, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
     for name in calls:
-        monkeypatch.setattr(chebyshev_mod, name, counted(name))
+        counted(chebyshev_mod, name)
+    counted(np.fft, "fft")
     return calls
 
 
@@ -656,6 +663,35 @@ class TestNodeWeightRoute:
         exact = 2.0 * np.sinh(z) / z  # 1.8993 - 0.7070j
         assert result.value != 0
         assert abs(result.value - exact) <= 1e-14 * abs(exact)
+
+    # 16 distinct primes near 5e4, each a Bluestein length, then a 17th for
+    # the warm-up call; two frequencies each, one per moment route
+    FRESH_DEGREES_SCRIPT = """
+import resource, sys
+import numpy as np
+from oscint import integrate_on_interval
+
+primes = [k for k in range(50000, 50200) if all(k % d for d in range(2, 225))]
+f = lambda x: np.exp((0.9 - 0.6j) * x)
+integrate_on_interval(f, 3.0 * primes[16], -1.0, 1.0, primes[16])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+for n in primes[:16]:
+    for omega in (0.5 * n, 3.0 * n):
+        integrate_on_interval(f, omega, -1.0, 1.0, n)
+growth = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(growth * (1 if sys.platform == "darwin" else 1024))  # bytes
+"""
+
+    def test_fresh_degrees_keep_no_fft_plans(self):
+        # an FFT plan cached per length would grow the peak by MBs per degree
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(oscint.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", self.FRESH_DEGREES_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert int(out) < 20 * 2**20
 
 
 class TestAmplitudeDtype:

@@ -8,7 +8,7 @@ from oscint import (
     integrate_on_interval,
     substitute,
 )
-from oscint.phase import numeric_inverse
+from oscint.phase import ComplexPhaseError, numeric_inverse
 
 
 def cubic_phase(bracket=(0.5, 2.0)):
@@ -76,6 +76,65 @@ class TestMonotonicityCheck:
         )
         with pytest.raises(NonMonotonePhaseError):
             substitute(lambda x: x, phase, 5.0)
+
+
+class TestComplexPhase:
+    """A phase function with a nonzero imaginary part raises, naming itself."""
+
+    def test_complex_g_raises_instead_of_dropping_its_imaginary_part(self):
+        phase = PhaseSpec(
+            g=lambda x: x + 0.5j * x, g_prime=lambda x: 1.0, bracket=(-1.0, 1.0)
+        )
+        with pytest.raises(ValueError, match=r"^g is complex at x = -1\.0;") as err:
+            substitute(lambda x: np.ones_like(x), phase, 5.0)
+        assert isinstance(err.value, ComplexPhaseError)
+        assert (err.value.name, err.value.x) == ("g", -1.0)
+
+    # a Gauss-Lobatto node (n = 90) between two probes, so that only the
+    # transformed amplitude's own calls see the imaginary part
+    NODE = float(np.cos(np.pi * 5 / 90))
+
+    @staticmethod
+    def _off_node(x, value, at_node):
+        return np.where(np.abs(x - TestComplexPhase.NODE) < 1e-6, at_node, value)
+
+    @pytest.mark.parametrize(
+        "name,phase",
+        [
+            ("g'", PhaseSpec(
+                g=lambda x: x,
+                g_prime=lambda x: TestComplexPhase._off_node(x, 1.0, 1 + 1j),
+                bracket=(-1.0, 1.0),
+            )),
+            ("inverse", PhaseSpec(
+                g=lambda x: x,
+                g_prime=lambda x: 1.0,
+                bracket=(-1.0, 1.0),
+                inverse=lambda y: TestComplexPhase._off_node(y, y, y + 1e-3j),
+            )),
+        ],
+        ids=["g_prime", "inverse"],
+    )
+    def test_complex_value_off_the_probes_is_named_with_its_x(self, name, phase):
+        f, (lo, hi), w = substitute(lambda x: np.ones_like(x), phase, 5.0)
+        with pytest.raises(ComplexPhaseError) as err:
+            integrate_on_interval(f, w, lo, hi, 90)
+        assert (err.value.name, err.value.x) == (name, self.NODE)
+        assert str(err.value).startswith(f"{name} is complex at x = {self.NODE!r};")
+
+    def test_complex_dtype_with_zero_imaginary_part_is_real(self):
+        real = sin_shift_phase()
+        as_complex = PhaseSpec(
+            g=lambda x: real.g(x).astype(complex),
+            g_prime=lambda x: real.g_prime(x) + 0j,
+            bracket=real.bracket,
+        )
+        amp = lambda x: 1.0 / (x**2 + 1)
+        values = []
+        for phase in (real, as_complex):
+            f, (lo, hi), w = substitute(amp, phase, 10.0)
+            values.append(integrate_on_interval(f, w, lo, hi, 90).value)
+        assert values[0] == values[1]
 
 
 def exp_decreasing_phase():
