@@ -54,6 +54,8 @@ Amplitude = Callable[[np.ndarray], np.ndarray]
 # sweeps, which only the c . M route has.
 _NODE_WEIGHTS_FROM_N = 1024
 
+_NAN = float("nan")  # the residual of a call that solves no system in c
+
 
 class SingularMatrixError(ValueError):
     """Raised when elimination meets a zero pivot; ``index`` names it."""
@@ -117,24 +119,26 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
 class _MomentRows(NamedTuple):
     """The omega-independent sequences of the moment rows k = 1..N.
 
-    Entry j of ``diagonal`` and ``rhs`` belongs to row k = j + 1; entry j of
-    ``below`` and ``above`` to the sub- and superdiagonal between unknowns
-    m_{j+1} and m_{j+2}, as LAPACK ``dgtsv`` takes them; ``i_pow`` is i^k for
-    k = 0..N.
+    Entry j of ``diagonal`` belongs to row k = j + 1; entry j of
+    ``off_diagonals[0]`` and ``[1]`` to the sub- and superdiagonal between
+    unknowns m_{j+1} and m_{j+2}, as LAPACK ``dgtsv`` takes them (row 1's
+    superdiagonal entry is 1, not k - 1 = 0; their last entries are 0 and
+    never read). ``gather`` and ``i_pow`` have an entry per moment, k = 0..N:
+    ``gather`` indexes a call's eight head and period-4 values (k for k < 4,
+    then 4 + k % 4) and ``i_pow`` is i^k.
 
     ``band`` is the forward route's lower band in LAPACK ``dtbtrs`` storage,
     Fortran-ordered, before its middle row is divided by -w: rows 0, 1 and 2
-    of column j hold ``above[j]``, ``diagonal[j + 1]`` and ``below[j + 1]``,
-    so that a call's band is a copy of its first N - 1 columns. Its last
-    entry, ``band[2, -1]``, would be ``below[N]`` and is 0. LAPACK never
+    of column j hold ``off_diagonals[1, j]``, ``diagonal[j + 1]`` and
+    ``off_diagonals[0, j + 1]``, so that a call's band is a copy of its
+    first N - 1 columns. Its last entry, ``band[2, -1]``, is 0. LAPACK never
     reads ``ab[1, -1]`` or ``ab[2, -2:]`` of a band, so a prefix of a longer
     table solves as the band built for its own N does.
     """
 
     diagonal: np.ndarray  # 2(k^2 - 1), except 4 in row 1
-    below: np.ndarray  # row k's coefficient of m_{k-1}, over -w: k + 1
-    above: np.ndarray  # row k's coefficient of m_{k+1}, over -w: k - 1, 1 in row 1
-    rhs: np.ndarray  # row k's entry of (2 sin w, 4 cos w, 4 sin w, -4 cos w, -4 sin w)
+    off_diagonals: np.ndarray  # row k's m_{k-1}, m_{k+1} terms over -w: k + 1, k - 1
+    gather: np.ndarray  # index of moment k's starting value: k, then 4 + k % 4
     i_pow: np.ndarray  # i^k, k = 0..N
     band: np.ndarray  # (above, diagonal, below) as the forward route solves them
 
@@ -145,18 +149,19 @@ def _build_moment_rows(N: int) -> _MomentRows:
     diagonal -= 1
     diagonal *= 2
     diagonal[0] = 4.0
-    below = k[1:] + 1
-    above = k[:-1] - 1
-    above[0] = 1.0
+    off_diagonals = np.zeros((2, N))
+    off_diagonals[0, :-1] = k[1:] + 1
+    off_diagonals[1, :-1] = k[:-1] - 1
+    off_diagonals[1, 0] = 1.0
     band = np.zeros((3, N - 1), order="F")
-    band[0] = above
+    band[0] = off_diagonals[1, :-1]
     band[1] = diagonal[1:]
-    band[2, :-1] = below[1:]
-    # -2 B_k / i^k is 2 sin w in row 1 and repeats with period 4 from row 2
-    rhs = np.zeros(N, dtype=np.intp)
-    rhs[1:] = np.arange(N - 1) % 4 + 1
+    band[2, :-1] = off_diagonals[0, 1:-1]
+    # the right-hand side -2 B_k / i^k repeats with period 4 from row 2
+    gather = np.arange(N + 1)
+    gather[4:] = 4 + gather[4:] % 4
     i_pow = np.resize([1, 1j, -1, -1j], N + 1)
-    rows = _MomentRows(diagonal, below, above, rhs, i_pow, band)
+    rows = _MomentRows(diagonal, off_diagonals, gather, i_pow, band)
     for sequence in rows:
         sequence.flags.writeable = False
     return rows
@@ -219,55 +224,51 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
 
     Nothing in the rows but w depends on the call: their sequences are read
     as prefixes of a module-level table of read-only arrays
-    (:func:`_moment_rows`). A call forms the five values of its period-4
-    right-hand side from Python floats, already divided by -w on the
-    forward route, and writes them into the moment vector it returns with
-    one ``take``. The forward route then copies the table's band, already in
-    ``dtbtrs`` storage, and divides its middle row by -w; the other scales
-    the sub- and superdiagonal by -w and copies the diagonal. The one solve
-    runs in the moment vector. The table stores nothing that depends on w.
+    (:func:`_moment_rows`). A call forms eight values from Python floats:
+    m_0, then m_1 or row 1's right-hand side, the next two head entries
+    with the known M_1 terms of their rows applied, and the four values of
+    the period-4 right-hand side, already divided by -w on the forward
+    route. One gather through the table's ``gather`` indices builds the
+    whole moment vector from them. The forward route then copies the table's
+    band, already in ``dtbtrs`` storage, and divides its middle row by -w;
+    the other scales both off-diagonals by -w in one multiply and copies the
+    diagonal. The one solve overwrites the moment vector's unknowns in
+    place. The table stores nothing that depends on w.
     """
     w = float(omega)
     forward = abs(w) > n
     N = n if forward else max(n, math.ceil(1.5 * abs(w))) + 40
     rows = _moment_rows(N)
     cos_w, sin_w = math.cos(w), math.sin(w)
-    m = np.empty(N + 2)  # row N's right-hand side goes to m[N + 1] when forward
-    m[0] = 2.0 * sin_w / w if w else 2.0
+    m0 = 2.0 * sin_w / w if w else 2.0
     if forward:
         # rows divided by -w so that no entry overflows; row k gives m_{k+1},
-        # so its right-hand side is written to m[k + 1]
-        m[1] = (m[0] - 2 * cos_w) / w
+        # so its right-hand side is m[k + 1]'s starting value
+        m1 = (m0 - 2 * cos_w) / w
         s = -w
-        rhs = np.array(
-            (2 * sin_w / s, 4 * cos_w / s, 4 * sin_w / s, -4 * cos_w / s, -4 * sin_w / s)
-        )
-        # mode "wrap" (the indices are in range) lets take write straight to out
-        rhs.take(rows.rhs[:N], out=m[2:], mode="wrap")
-        m[2] -= 4.0 / s * m[1]  # the known M_1 terms of rows 1 and 2
-        m[3] -= 3.0 * m[1]
+        head = (m0, m1, 2 * sin_w / s - 4.0 / s * m1, 4 * cos_w / s - 3.0 * m1)
+        tail = (4 * sin_w / s, -4 * cos_w / s, -4 * sin_w / s, 4 * cos_w / s)
+        m = np.array(head + tail)[rows.gather[: N + 1]]
         # lower band storage, Fortran-ordered so that f2py passes it as is
         ab = rows.band[:, : N - 1].copy(order="F")
         ab[1] /= s
-        # the diagonal, above, has no zero, so the solve cannot fail
-        m[2 : N + 1], _ = dtbtrs(ab, m[2 : N + 1], "L", overwrite_b=1)
+        # the triangular diagonal, band row 0, has no zero: the solve cannot fail
+        dtbtrs(ab, m[2:], "L", "N", "N", 1)  # overwrite_b
     else:
-        rhs = np.array((2 * sin_w, 4 * cos_w, 4 * sin_w, -4 * cos_w, -4 * sin_w))
-        rhs.take(rows.rhs[:N], out=m[1 : N + 1], mode="wrap")
+        tail = (-4 * cos_w, -4 * sin_w, 4 * cos_w, 4 * sin_w)
         first = 0  # index of the first row solved, k = first + 1
         if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
             m1 = 2.0 * (sin_w - w * cos_w) / (w * w)
-            m[2] += 3 * w * m1  # row 2's known M_1 term
-            m[1] = m1
+            head = (m0, m1, 4 * cos_w + 3 * w * m1, 4 * sin_w)
             first = 1
+        else:
+            head = (m0, 2 * sin_w, 4 * cos_w, 4 * sin_w)
+        m = np.array(head + tail)[rows.gather[: N + 1]]
+        off = rows.off_diagonals[:, first : N - 1] * -w
         # dgtsv overwrites all four arrays, read-only or not: the diagonal is
         # passed as a copy
-        *_, m[first + 1 : N + 1], info = dgtsv(
-            rows.below[first : N - 1] * -w,
-            rows.diagonal[first:N].copy(),
-            rows.above[first : N - 1] * -w,
-            m[first + 1 : N + 1],
-            1, 1, 1, 1,
+        *_, info = dgtsv(
+            off[0], rows.diagonal[first:N].copy(), off[1], m[first + 1 :], 1, 1, 1, 1
         )
         if info:
             row = first + info
@@ -304,7 +305,11 @@ def integrate_on_interval(
     On [-1, 1] the amplitude is called with the memoised, read-only node
     array of :func:`oscint.chebyshev.gauss_lobatto_nodes` itself, as in
     :func:`integrate_standard`; elsewhere with a fresh array of mapped nodes.
+    ``omega``, ``a`` and ``b`` are converted to Python floats, so that
+    float32 inputs are computed in double precision.
     """
+    # numpy >= 2 keeps float32 * float in float32 (NEP 50)
+    omega, a, b = float(omega), float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
     if not a < b:
@@ -331,9 +336,5 @@ def integrate_on_interval(
     # multiplies half * value as that complex number
     scale = half if mid == 0.0 else half * np.exp(1j * omega * mid)
     path = SolvePath.DIRECT_TRIANGULAR if abs(omega_eff) > n else SolvePath.QUADRATURE
-    return IntegralResult(
-        value=complex(scale * value),
-        path=path,
-        n_used=n,
-        residual_norm=float("nan"),
-    )
+    # positional: a frozen dataclass takes twice as long to build by keyword
+    return IntegralResult(complex(scale * value), path, n, _NAN)

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -448,6 +450,52 @@ class TestIntegrateOnInterval:
             integrate_on_interval(amp, omega, 0.0, 1.0, 8)
         assert err.value.node == 0.5
         assert "x = 0.5" in str(err.value)
+
+    @pytest.mark.parametrize("n", [64, 1500])
+    @pytest.mark.parametrize(
+        "omega,a,b",
+        [
+            (12345.678, np.float32(-1), np.float32(1)),
+            (np.float32(12345.678), -1.0, 1.0),
+            (np.float32(30.7), np.float32(0.1), np.float32(2.3)),
+            (3.0, np.float32(-0.3), 1.7),
+        ],
+        ids=["interval", "omega", "all", "a"],
+    )
+    def test_float32_inputs_are_computed_in_double(self, omega, a, b, n):
+        # numpy >= 2 would keep omega*(b-a)/2 of float32 endpoints in float32
+        f = lambda x: np.exp((0.9 - 0.6j) * x)
+        result = integrate_on_interval(f, omega, a, b, n)
+        expected = integrate_on_interval(f, float(omega), float(a), float(b), n)
+        assert np.complex128(result.value).tobytes() == (
+            np.complex128(expected.value).tobytes()
+        )
+        assert result.path is expected.path
+
+    def test_float32_interval_keeps_its_digits(self):
+        f = lambda x: np.exp((0.9 - 0.6j) * x)
+        omega = 12345.678
+        result = integrate_on_interval(f, omega, np.float32(-1), np.float32(1), 64)
+        z = complex(0.9, omega - 0.6)
+        exact = 2 * np.sinh(z) / z
+        assert abs(result.value - exact) <= 1e-11 * abs(exact)
+
+    def test_result_is_a_frozen_dataclass_of_four_fields(self):
+        # integrate_on_interval builds its result positionally, in this order
+        result = integrate_on_interval(lambda x: np.exp(x), 5.0, -1.0, 1.0, 16)
+        assert [f.name for f in dataclasses.fields(result)] == [
+            "value",
+            "path",
+            "n_used",
+            "residual_norm",
+        ]
+        assert type(result.value) is complex
+        assert result.path is SolvePath.QUADRATURE
+        assert result.n_used == 16
+        assert type(result.residual_norm) is float and math.isnan(result.residual_norm)
+        for name in ("value", "path", "n_used", "residual_norm"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, name, None)
 
 
 def moment_route_error(alpha, omega, n):
