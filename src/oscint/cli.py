@@ -128,6 +128,8 @@ def _cmd_integrate(args) -> int:
             args.parser.error("--phase requires --phase-derivative")
         spec = PhaseSpec(g=args.phase, g_prime=args.phase_derivative, bracket=(a, b))
         amplitude, (a, b), _ = substitute(amplitude, spec, args.omega)
+    elif args.phase_derivative is not None:
+        args.parser.error("--phase-derivative requires --phase")
     result = integrate_on_interval(amplitude, args.omega, a, b, args.n)
     print(
         f"{_fmt(result.value.real)} {_fmt(result.value.imag)} "
@@ -145,6 +147,8 @@ def _cmd_converge(args) -> int:
         amplitude, (a, b) = spec.amplitude(args.alpha), spec.interval
         if exact is None:
             exact = spec.exact_value(args.omega, args.alpha)
+    elif args.alpha is not None:
+        args.parser.error("--alpha: --amplitude has no parameter")
     if exact is None:
         exact = oscillatory_reference_quadrature(amplitude, args.omega, a, b, tol=1e-13)
     print("n,abs_error,real,imag,path")

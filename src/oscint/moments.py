@@ -119,49 +119,32 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
 class _MomentRows(NamedTuple):
     """The omega-independent sequences of the moment rows k = 1..N.
 
-    Entry j of ``diagonal`` belongs to row k = j + 1; entry j of
-    ``off_diagonals[0]`` and ``[1]`` to the sub- and superdiagonal between
-    unknowns m_{j+1} and m_{j+2}, as LAPACK ``dgtsv`` takes them (row 1's
-    superdiagonal entry is 1, not k - 1 = 0; their last entries are 0 and
-    never read). ``gather`` and ``i_pow`` have an entry per moment, k = 0..N:
+    ``band`` holds the tridiagonal rows before their off-diagonals are
+    scaled by -w, in LAPACK general band storage: column k holds row k - 1's
+    m_k term, row k's diagonal and row k + 1's m_k term. Both routes slice
+    it. The forward route's lower band for ``dtbtrs`` is columns 2..N as they
+    stand; LAPACK never reads ``ab[1, -1]`` or ``ab[2, -2:]`` of a band, so
+    a prefix of a longer table solves as the band built for its own N does.
     ``gather`` indexes a call's eight head and period-4 values (k for k < 4,
     then 4 + k % 4) and ``i_pow`` is i^k.
-
-    ``band`` is the forward route's lower band in LAPACK ``dtbtrs`` storage,
-    Fortran-ordered, before its middle row is divided by -w: rows 0, 1 and 2
-    of column j hold ``off_diagonals[1, j]``, ``diagonal[j + 1]`` and
-    ``off_diagonals[0, j + 1]``, so that a call's band is a copy of its
-    first N - 1 columns. Its last entry, ``band[2, -1]``, is 0. LAPACK never
-    reads ``ab[1, -1]`` or ``ab[2, -2:]`` of a band, so a prefix of a longer
-    table solves as the band built for its own N does.
     """
 
-    diagonal: np.ndarray  # 2(k^2 - 1), except 4 in row 1
-    off_diagonals: np.ndarray  # row k's m_{k-1}, m_{k+1} terms over -w: k + 1, k - 1
+    band: np.ndarray  # k - 2, 2(k^2 - 1), k + 2; row 1's entries are 1 and 4
     gather: np.ndarray  # index of moment k's starting value: k, then 4 + k % 4
     i_pow: np.ndarray  # i^k, k = 0..N
-    band: np.ndarray  # (above, diagonal, below) as the forward route solves them
 
 
 def _build_moment_rows(N: int) -> _MomentRows:
-    k = np.arange(1.0, N + 1)
-    diagonal = k * k
-    diagonal -= 1
-    diagonal *= 2
-    diagonal[0] = 4.0
-    off_diagonals = np.zeros((2, N))
-    off_diagonals[0, :-1] = k[1:] + 1
-    off_diagonals[1, :-1] = k[:-1] - 1
-    off_diagonals[1, 0] = 1.0
-    band = np.zeros((3, N - 1), order="F")
-    band[0] = off_diagonals[1, :-1]
-    band[1] = diagonal[1:]
-    band[2, :-1] = off_diagonals[0, 1:-1]
+    k = np.arange(N + 1.0)
+    # Fortran-ordered, so that the forward route's band is a plain copy
+    band = np.array((k - 2, 2 * (k * k - 1), k + 2), order="F")
+    band[0, 2] = 1.0
+    band[1, 1] = 4.0
     # the right-hand side -2 B_k / i^k repeats with period 4 from row 2
     gather = np.arange(N + 1)
     gather[4:] = 4 + gather[4:] % 4
     i_pow = np.resize([1, 1j, -1, -1j], N + 1)
-    rows = _MomentRows(diagonal, off_diagonals, gather, i_pow, band)
+    rows = _MomentRows(band, gather, i_pow)
     for sequence in rows:
         sequence.flags.writeable = False
     return rows
@@ -180,9 +163,9 @@ def _moment_rows(N: int) -> _MomentRows:
     """
     global _moment_rows_table
     rows = _moment_rows_table
-    if len(rows.diagonal) < N:
+    if len(rows.gather) <= N:
         with _moment_rows_growth:
-            if len(_moment_rows_table.diagonal) < N:
+            if len(_moment_rows_table.gather) <= N:
                 _moment_rows_table = _build_moment_rows(N)
             rows = _moment_rows_table
     return rows
@@ -222,18 +205,14 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
     where |J_1(w)| > |J_0(w)|, M_1 is pinned instead and rows 2..N are
     solved, singular only where J_1(w) = 0; the zeros of J_0 and J_1 interlace.
 
-    Nothing in the rows but w depends on the call: their sequences are read
-    as prefixes of a module-level table of read-only arrays
-    (:func:`_moment_rows`). A call forms eight values from Python floats:
-    m_0, then m_1 or row 1's right-hand side, the next two head entries
-    with the known M_1 terms of their rows applied, and the four values of
-    the period-4 right-hand side, already divided by -w on the forward
-    route. One gather through the table's ``gather`` indices builds the
-    whole moment vector from them. The forward route then copies the table's
-    band, already in ``dtbtrs`` storage, and divides its middle row by -w;
-    the other scales both off-diagonals by -w in one multiply and copies the
-    diagonal. The one solve overwrites the moment vector's unknowns in
-    place. The table stores nothing that depends on w.
+    Nothing in the rows but w depends on the call: both routes slice one
+    read-only band table (:func:`_moment_rows`). A call forms eight values
+    from Python floats: m_0, then m_1 or row 1's right-hand side, the next
+    two head entries with the known M_1 terms of their rows applied, and the
+    four values of the period-4 right-hand side, already divided by -w on
+    the forward route. One gather through the table's ``gather`` indices
+    builds the whole moment vector from them, and the one solve overwrites
+    its unknowns in place.
     """
     w = float(omega)
     forward = abs(w) > n
@@ -250,28 +229,30 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
         tail = (4 * sin_w / s, -4 * cos_w / s, -4 * sin_w / s, 4 * cos_w / s)
         m = np.array(head + tail)[rows.gather[: N + 1]]
         # lower band storage, Fortran-ordered so that f2py passes it as is
-        ab = rows.band[:, : N - 1].copy(order="F")
+        ab = rows.band[:, 2 : N + 1].copy(order="F")
         ab[1] /= s
         # the triangular diagonal, band row 0, has no zero: the solve cannot fail
         dtbtrs(ab, m[2:], "L", "N", "N", 1)  # overwrite_b
     else:
         tail = (-4 * cos_w, -4 * sin_w, 4 * cos_w, 4 * sin_w)
-        first = 0  # index of the first row solved, k = first + 1
+        first = 1  # k of the first row solved, and of its diagonal unknown
         if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
             m1 = 2.0 * (sin_w - w * cos_w) / (w * w)
             head = (m0, m1, 4 * cos_w + 3 * w * m1, 4 * sin_w)
-            first = 1
+            first = 2
         else:
             head = (m0, 2 * sin_w, 4 * cos_w, 4 * sin_w)
         m = np.array(head + tail)[rows.gather[: N + 1]]
-        off = rows.off_diagonals[:, first : N - 1] * -w
+        # C-ordered, so that f2py passes both off-diagonals as they are
+        off = np.multiply(rows.band[::2, first : N + 1], -w, order="C")
         # dgtsv overwrites all four arrays, read-only or not: the diagonal is
         # passed as a copy
         *_, info = dgtsv(
-            off[0], rows.diagonal[first:N].copy(), off[1], m[first + 1 :], 1, 1, 1, 1
+            off[1, :-1], rows.band[1, first : N + 1].copy(), off[0, 1:], m[first:],
+            1, 1, 1, 1,
         )
         if info:
-            row = first + info
+            row = first + info - 1
             raise SingularMatrixError(f"zero pivot in moment recurrence row {row}", row)
     return m[: n + 1]
 

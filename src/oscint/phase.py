@@ -8,6 +8,7 @@ phase points (g' = 0) are excluded by the monotonicity precondition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -64,13 +65,21 @@ class PhaseSpec:
     Chebyshev points of the bracket (its ends included), requires g' to
     be of one sign there and g to be ordered in that sign, and the
     transformed amplitude checks the sign of g' again at every preimage
-    node it samples.
+    node it samples. The bracket's ends must be finite, with a < b.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
     g_prime: Callable[[np.ndarray], np.ndarray]
     bracket: tuple[float, float]
     inverse: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        # the probes of a reversed bracket would report it as a non-monotone g
+        a, b = self.bracket
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"invalid interval: ends must be finite, got [{a}, {b}]")
+        if not a < b:
+            raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
 
 
 class _ProbeTable(NamedTuple):

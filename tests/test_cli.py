@@ -151,6 +151,22 @@ class TestIntegrate:
                   "--phase", "x^3"])
         assert exc.value.code == 2
 
+    def test_derivative_without_phase_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--amplitude", "1", "--omega", "5", "--n", "8",
+                  "--phase-derivative", "2*x"])
+        assert exc.value.code == 2
+        assert "--phase-derivative requires --phase" in capsys.readouterr().err
+
+    def test_reversed_phase_bracket_is_solver_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "integrate", "--amplitude", "1", "--omega", "5", "--n", "8",
+            "--a", "1", "--b", "-1", "--phase", "x", "--phase-derivative", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "invalid interval: need a < b, got [1.0, -1.0]" in err
+
     def test_bad_expression_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["integrate", "--amplitude", "1+", "--omega", "5", "--n", "8"])
@@ -311,6 +327,13 @@ class TestUsageErrors:
             "--alpha", "5", "--n-min", "8", "--n-max", "9",
         )
         assert f"--alpha: example {key} has no parameter" in err
+
+    def test_alpha_with_amplitude_in_converge(self, capsys):
+        err = usage_error(
+            capsys, "converge", "--amplitude", "exp(x)", "--alpha", "3",
+            "--omega", "10", "--n-min", "8", "--n-max", "9",
+        )
+        assert "--alpha: --amplitude has no parameter" in err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "a"])
     def test_non_finite_alpha(self, capsys, alpha):

@@ -107,7 +107,7 @@ def test_bit_identical_to_the_straightforward_solve(small_table):
         np.testing.assert_array_equal(M, straightforward_chebyshev_moments(omega, n))
         # the table is grown to exactly the largest truncation asked for
         grown = max(grown, truncation(omega, n))
-        assert len(moments._moment_rows_table.diagonal) == grown
+        assert moments._moment_rows_table.band.shape[1] - 1 == grown
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 1023, 1024, 2500])
@@ -140,7 +140,7 @@ def test_table_is_read_only_and_returned_moments_are_fresh(small_table):
         with pytest.raises(ValueError):
             sequence[0] = 0
     # no solve wrote into it (f2py ignores the read-only flag)
-    fresh = moments._build_moment_rows(len(table.diagonal))
+    fresh = moments._build_moment_rows(table.band.shape[1] - 1)
     for sequence, expected in zip(table, fresh):
         assert sequence.tobytes() == expected.tobytes()
 
@@ -172,7 +172,7 @@ def test_concurrent_growth_matches_serial(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == serial
-    assert len(moments._moment_rows_table.diagonal) == max(
+    assert moments._moment_rows_table.band.shape[1] - 1 == max(
         truncation(w, n) for c in calls for w, n in c
     )
 
@@ -192,3 +192,28 @@ def test_forward_band_is_fortran_ordered(monkeypatch):
         result = integrate_on_interval(f, 3.0 * n, -1.0, 1.0, n)
         assert result.path is SolvePath.DIRECT_TRIANGULAR
     assert calls == [(3, 1), (3, 63), (3, moments._NODE_WEIGHTS_FROM_N - 1)]
+
+
+def test_boundary_route_passes_contiguous_arrays(monkeypatch):
+    # a strided off-diagonal or diagonal would make f2py copy it on every call
+    calls = []
+
+    def contiguous_only(dl, d, du, b, *args):
+        assert all(a.flags.c_contiguous for a in (dl, d, du, b))
+        calls.append(len(d))
+        return dgtsv(dl, d, du, b, *args)
+
+    monkeypatch.setattr(moments, "dgtsv", contiguous_only)
+    f = lambda x: np.exp(0.5 * x)
+    # |J_0(w)| >= |J_1(w)| at w = 0.5: all N rows are solved; at w = 5 row 1
+    # is dropped
+    for n, omega in [(2, 0.5), (64, 0.5), (64, 5.0), (moments._NODE_WEIGHTS_FROM_N, 5.0)]:
+        result = integrate_on_interval(f, omega, -1.0, 1.0, n)
+        assert result.path is SolvePath.QUADRATURE
+    assert calls == [42, 104, 103, moments._NODE_WEIGHTS_FROM_N + 39]
+
+
+def test_table_holds_six_doubles_per_row():
+    for N in (2, 3, 1000):
+        table = moments._build_moment_rows(N)
+        assert sum(sequence.nbytes for sequence in table) == 6 * 8 * (N + 1)

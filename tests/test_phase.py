@@ -67,6 +67,20 @@ class TestMonotonicityCheck:
         with pytest.raises(NonMonotonePhaseError, match="at x = "):
             integrate_on_interval(f, w, lo, hi, n)
 
+    @pytest.mark.parametrize(
+        "bracket, message",
+        [
+            ((1.0, -1.0), r"need a < b, got \[1.0, -1.0\]"),
+            ((1.0, 1.0), r"need a < b, got \[1.0, 1.0\]"),
+            ((0.0, np.inf), "ends must be finite"),
+            ((np.nan, 1.0), "ends must be finite"),
+        ],
+    )
+    def test_invalid_bracket_rejected(self, bracket, message):
+        # a reversed bracket is an input error, not a non-monotone phase
+        with pytest.raises(ValueError, match="invalid interval: " + message):
+            PhaseSpec(g=lambda x: x**3, g_prime=lambda x: 3 * x**2, bracket=bracket)
+
     def test_zero_derivative_at_probed_point_rejected(self):
         # g' vanishes at the endpoint x = 1, which the probe grid hits
         phase = PhaseSpec(
