@@ -31,8 +31,18 @@ degrees from 1024 on, where a call rarely repeats the length before it and
 the plan of a Bluestein length near 5e4 takes several MB, so
 ``_node_weights`` calls ``numpy.fft.fft``, which builds its plan on each
 call and keeps none. The price is a plan per call where one such length
-does repeat: in a sweep over omega at n = 54149 or 99991, an integral takes
-about 1.6 times as long.
+does repeat, as in a sweep over omega at the prime n = 99991.
+
+Where the largest prime factor p of n has p < n and p*p > n, pocketfft
+weighs a Bluestein convolution of length >= 2n for the whole transform,
+which runs about 8-10 times as long as an FFT of a nearby smooth length.
+There ``_fft`` splits the node weights' FFT at p (the four-step form of
+Cooley-Tukey), so that Bluestein runs only on lines of length p, with one
+plan of that length for all of them. Every other length, primes included,
+is ``numpy.fft.fft`` unchanged. The twiddle factors multiply every output,
+so their sines come from ``np.sin``: sines formed as sqrt((1 - x)(1 + x))
+of the nodes, as ``_node_weights`` forms its own, lose digits near
+x = +-1 and cost the transform about two digits.
 """
 
 from __future__ import annotations
@@ -182,8 +192,9 @@ def _node_weights(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         W_j = h_j/(2n) ((Re Z_j + Re R_j)
                         + i (x_j (Im Z_j + Im R_j) - sin(pi j/n) (Re Z_j - Re R_j))).
 
-    The FFT is ``numpy.fft.fft``, which keeps no plan once it returns, so a
-    call at a fresh n leaves no memory behind (see the module docstring).
+    The FFT is ``numpy.fft.fft``, split by ``_fft`` where n has a large
+    prime factor. It keeps no plan once it returns, so a call at a fresh n
+    leaves no memory behind (see the module docstring).
     """
     n = len(nodes) - 1
     extension = np.empty(2 * n)
@@ -192,7 +203,7 @@ def _node_weights(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     r[2::4] *= -1
     r[3::4] *= -1
     extension[n + 1 :] = r[n - 1 : 0 : -1]
-    z = np.fft.fft(extension.view(np.complex128))
+    z = _fft(extension.view(np.complex128), nodes)
     z = np.append(z, z[0])
     # sin(pi*j/n) from the nodes: the pair (x_j, sines_j) is a unit vector to
     # rounding, which is what the rotation below needs, and is cheaper than
@@ -217,6 +228,53 @@ def _node_weights(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     W[0] *= 0.5
     W[n] *= 0.5
     return W
+
+
+def _largest_prime_factor(n: int) -> int:
+    # what is left after dividing out every factor d with d*d <= the rest
+    d = 2
+    while d * d <= n:
+        if n % d:
+            d += 1
+        else:
+            n //= d
+    return n
+
+
+def _fft(z: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``numpy.fft.fft(z)``, split at a large prime factor of n = len(z).
+
+    ``nodes`` are the Gauss-Lobatto nodes of degree n. Where the largest
+    prime factor p of n has p < n and p*p > n, the condition under which
+    pocketfft weighs a Bluestein convolution of length >= 2n, this is the
+    four-step FFT of z read as a (p, n/p) array: length-p transforms of its
+    columns, one plan of length p for all n/p of them; the
+    twiddles exp(-2 pi i k l/n); length-n/p transforms of its rows; the
+    transpose. Every other length is ``numpy.fft.fft(z)`` itself.
+
+    The twiddles' cosines cos(2 pi t/n) are the nodes x_{2t}, reflected to
+    x_{2n-2t} past t = n/2, and their sines come from one ``np.sin`` table
+    of sin(pi j/n), j <= n/2, mirrored: both are correct to an ulp or so.
+    Sines formed as sqrt((1 - x)(1 + x)) lose digits near x = +-1 and
+    cost about two digits of the transform.
+    """
+    n = len(z)
+    p = _largest_prime_factor(n)
+    if p == n or p * p <= n:
+        return np.fft.fft(z)
+    q = n // p
+    half = n // 2 + 1
+    sines = np.empty(n + 1)
+    np.sin(np.pi * np.arange(half) / n, out=sines[:half])
+    sines[half:] = sines[n - half :: -1]
+    # exp(-2 pi i t/n) for t < n, from its values at t <= n/2
+    twiddles = np.empty(n, dtype=complex)
+    twiddles.real[:half] = nodes[::2]
+    np.negative(sines[::2], out=twiddles.imag[:half])
+    twiddles[half:] = twiddles[n - half : 0 : -1].conj()
+    columns = np.fft.fft(z.reshape(p, q), axis=0)
+    columns *= twiddles[np.outer(np.arange(p), np.arange(q))]
+    return np.fft.fft(columns, axis=1).T.ravel()
 
 
 def endpoint_values(coeffs: SpectralCoefficients) -> tuple[complex, complex]:

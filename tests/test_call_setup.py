@@ -15,7 +15,13 @@ import pytest
 
 import oscint.moments as moments
 from oscint import AmplitudeSamplingError, SolvePath, integrate_on_interval
-from oscint.chebyshev import _grid, forward_coefficients, gauss_lobatto_nodes
+from oscint.chebyshev import (
+    _fft,
+    _grid,
+    _largest_prime_factor,
+    forward_coefficients,
+    gauss_lobatto_nodes,
+)
 
 
 def full_cosine_grid(n):
@@ -53,8 +59,10 @@ def straightforward_node_weights(m, nodes):
     r[3::4] *= -1
     extension[n + 1 :] = r[n - 1 : 0 : -1]
     # the FFT the code under test calls: numpy's and scipy's may differ in
-    # the last bits (numpy < 2 has its own pocketfft)
-    z = np.fft.fft(extension.view(np.complex128))
+    # the last bits (numpy < 2 has its own pocketfft), and at lengths with a
+    # large prime factor it is split at that factor (``test_chebyshev.py``
+    # holds the split to numpy's FFT)
+    z = _fft(extension.view(np.complex128), nodes)
     z = np.append(z, z[0])
     sines = 1.0 - nodes
     sines *= 1.0 + nodes
@@ -122,6 +130,7 @@ def seeded_calls(seed, count):
 def test_values_bit_identical_to_the_straightforward_set_up():
     calls = seeded_calls(170, 400)
     seen = set()
+    node_weight_degrees = set()
     for alpha, omega, a, b, n in calls:
         f = lambda x, alpha=alpha: np.exp(alpha * x)
         result = integrate_on_interval(f, omega, a, b, n)
@@ -135,6 +144,9 @@ def test_values_bit_identical_to_the_straightforward_set_up():
                 (a, b) == (-1.0, 1.0),
             )
         )
+        if n >= moments._NODE_WEIGHTS_FROM_N:
+            p = _largest_prime_factor(n)
+            node_weight_degrees.add(p < n and p * p > n)
     # every route, frequency class, dtype and interval kind was reached
     for position, values in enumerate(
         [
@@ -146,6 +158,8 @@ def test_values_bit_identical_to_the_straightforward_set_up():
         ]
     ):
         assert {key[position] for key in seen} == values
+    # the node weights' FFT ran both split (such as 1202 = 2*601) and whole
+    assert node_weight_degrees == {False, True}
 
 
 @pytest.mark.parametrize(

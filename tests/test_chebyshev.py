@@ -233,8 +233,9 @@ def powers_of_i(n):
 class TestNodeWeights:
     """``_node_weights``: the packed FFT against scipy's type-I DCT."""
 
-    # 16414 = 2*29*283, 54149 = 173*313 and the prime 99991 are lengths
-    # pocketfft runs as Bluestein convolutions
+    # 16414 = 2*29*283 and 54149 = 173*313 are split at their prime factors
+    # 283 and 313, whose lines pocketfft runs as Bluestein convolutions; the
+    # prime 99991 is one Bluestein convolution of its full length
     @pytest.mark.parametrize("n", [*range(2, 65), 16414, 54149, 99991])
     def test_matches_type_one_dct_of_the_moments(self, n):
         m = np.random.default_rng(n).standard_normal(n + 1)
@@ -256,6 +257,45 @@ class TestNodeWeights:
         expected = forward_coefficients(f) @ (m * powers_of_i(n))
         got = f @ chebyshev._node_weights(m, gauss_lobatto_nodes(n))
         assert abs(got - expected) <= 1e-14 * abs(expected)
+
+
+class TestSplitFFT:
+    """``_fft``: numpy's FFT, split where the length has a large prime factor."""
+
+    def test_largest_prime_factor(self):
+        # a sieve: each prime d, in ascending order, overwrites its multiples
+        largest = list(range(3000))
+        for d in range(2, 3000):
+            if largest[d] == d:
+                largest[d::d] = [d] * len(largest[d::d])
+        for n in range(1, 3000):
+            assert chebyshev._largest_prime_factor(n) == largest[n], n
+        for n, p in [(16414, 283), (54149, 313), (82760, 2069), (99991, 99991)]:
+            assert chebyshev._largest_prime_factor(n) == p
+
+    # the largest prime factor p has p < n < p*p: 1202 = 2*601,
+    # 16414 = 2*29*283, 54149 = 173*313, 82760 = 2^3*5*2069, 99998 = 2*49999.
+    # Twiddle sines formed as sqrt((1 - x)(1 + x)) miss the bound by 1.6x
+    # (at 1202) to 54x (at 99998).
+    @pytest.mark.parametrize("n", [1202, 16414, 54149, 82760, 99998])
+    def test_split_lengths_match_numpy_to_rounding(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expected = np.fft.fft(z)
+        got = chebyshev._fft(z, gauss_lobatto_nodes(n))
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(
+            got, expected, rtol=0, atol=8 * eps * np.abs(expected).max()
+        )
+
+    # 1024 and 65536 are smooth, 74883 = 3*109*229 has p*p <= n, and 4099
+    # and 99991 are prime
+    @pytest.mark.parametrize("n", [1024, 65536, 74883, 4099, 99991])
+    def test_other_lengths_are_numpy_fft_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = chebyshev._fft(z, gauss_lobatto_nodes(n))
+        assert got.tobytes() == np.fft.fft(z).tobytes()
 
 
 class TestEndpointValues:

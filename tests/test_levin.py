@@ -692,6 +692,24 @@ class TestNodeWeightRoute:
         integrate_on_interval(amplitude, 3.0 * n, -1.0, 1.0, n)
         assert counted == calls
 
+    @pytest.mark.parametrize("omega", [0.5, 3.0], ids=["boundary", "forward"])
+    def test_split_degree_takes_two_batched_ffts(self, monkeypatch, omega):
+        # 1202 = 2*601: the node weights' FFT of length 1202 runs as 601-point
+        # transforms of the 2 columns and 2-point transforms of the 601 rows
+        n = 1202
+        counted = count_transforms(monkeypatch)
+        inputs = []
+        fft = np.fft.fft
+
+        def recorded(a, *args, **kwargs):
+            inputs.append((np.shape(a), kwargs.get("axis")))
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        integrate_on_interval(lambda x: np.exp((0.5 + 1j) * x), omega * n, -1.0, 1.0, n)
+        assert counted == {"dct": 0, "fft": 2}
+        assert inputs == [((601, 2), 0), ((601, 2), 1)]
+
     @pytest.mark.parametrize("n", [_NODE_WEIGHTS_FROM_N, _NODE_WEIGHTS_FROM_N + 1])
     def test_zero_frequency_is_clenshaw_curtis(self, n):
         weights = np.zeros(n + 1)
