@@ -4,16 +4,12 @@ Nodes, the forward coefficient transform, and endpoint evaluation of
 Chebyshev series. Everything here is real except that samples and
 coefficient vectors are allowed to be complex.
 
-The forward transform is at most one fast transform per call: a real
-type-I DCT (``scipy.fft.dct``) for real samples, and for complex samples
-one complex FFT (``scipy.fft.fft``) of the even extension
-``[f_0, ..., f_n, f_{n-1}, ..., f_1]``, whose first n+1 outputs are
-the type-I DCT. For the many n with a large prime factor, pocketfft
-runs every transform of such a length as a Bluestein convolution, so
-one complex transform costs about what one real DCT does, where
-transforming the real and imaginary parts separately would cost two.
-A call whose samples repeat the previous call's bit for bit takes no
-transform: the last result is memoised.
+The forward transform is at most one ``numpy.fft`` call: the type-I DCT
+of the samples is the first n+1 outputs of the FFT of their even extension
+``[f_0, ..., f_n, f_{n-1}, ..., f_1]``, a complex ``fft`` for complex
+samples and a real ``rfft`` for real ones, whose DCT is the real part of
+its n+1 outputs. A call whose samples repeat the previous call's bit for
+bit takes no transform: the last result is memoised.
 
 The transpose of the same transform maps moments M_k = i^k m_k with real m
 onto node weights W, with ``f . W = forward_coefficients(f) . M`` for every
@@ -22,16 +18,6 @@ DCT, packed into one complex FFT of length n: half the length of the
 sample-side transform of complex samples. W depends on the moments, not on
 the samples, so a sweep over omega at one amplitude builds it at every
 omega; it is not memoised.
-
-The two sides take their FFT from different libraries, both pocketfft.
-``scipy.fft`` keeps the plans of the last 16 lengths it was given, which
-pays where lengths repeat: the solver's sample-side transforms are below
-degree 1024, short and seldom of a new length. The node weights serve the
-degrees from 1024 on, where a call rarely repeats the length before it and
-the plan of a Bluestein length near 5e4 takes several MB, so
-``_node_weights`` calls ``numpy.fft.fft``, which builds its plan on each
-call and keeps none. The price is a plan per call where one such length
-does repeat, as in a sweep over omega at the prime n = 99991.
 
 Where the largest prime factor p of n has p < n and p*p > n, pocketfft
 weighs a Bluestein convolution of length >= 2n for the whole transform,
@@ -52,7 +38,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, fft
 
 __all__ = [
     "SpectralCoefficients",
@@ -133,10 +118,11 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
 
     Returns c with sum_k c_k T_k(x_j) = f(x_j) at every node, computed
     through the half-weighted endpoint sum of discrete orthogonality
-    (a type-I DCT). Real samples take one real ``dct(type=1)``; complex
-    samples take one complex ``fft`` of their even extension
-    ``[f_0, ..., f_n, f_{n-1}, ..., f_1]`` (length 2n), of which the
-    first n+1 outputs are the DCT. Either way c is complex.
+    (a type-I DCT): the first n+1 outputs of the FFT of the even extension
+    ``[f_0, ..., f_n, f_{n-1}, ..., f_1]`` (length 2n). Complex samples
+    take one ``numpy.fft.fft``, real samples one ``numpy.fft.rfft``, of
+    whose outputs the real parts are the DCT. Either way c is complex; for
+    real samples its imaginary parts are exactly zero.
 
     The coefficients of the last float64 or complex128 samples are
     memoised, keyed on their dtype, shape and exact bytes (held in a
@@ -158,11 +144,11 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
         last = _last_transform
         if last is not None and last[0] == key:
             return last[1]
+    extension = np.concatenate((f_values, f_values[n - 1 : 0 : -1]))
     if np.iscomplexobj(f_values):
-        extension = np.concatenate((f_values, f_values[n - 1 : 0 : -1]))
-        raw = fft(extension, overwrite_x=True)[: n + 1]
+        raw = np.fft.fft(extension)[: n + 1]
     else:
-        raw = dct(f_values, type=1).astype(complex)
+        raw = np.fft.rfft(extension).real.astype(complex)
     # raw_j = 2 * sum'' T_j(x_k) f(x_k); normalize by discrete norms
     c = raw / n
     c[0] /= 2.0
@@ -194,7 +180,7 @@ def _node_weights(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
     The FFT is ``numpy.fft.fft``, split by ``_fft`` where n has a large
     prime factor. It keeps no plan once it returns, so a call at a fresh n
-    leaves no memory behind (see the module docstring).
+    leaves no memory behind.
     """
     n = len(nodes) - 1
     extension = np.empty(2 * n)

@@ -8,7 +8,7 @@ interpolant f_n against the moments of exp(i*omega*x)
 omega-independent row sequences are read from a module-level table
 (:func:`_moment_rows`). Discrete orthogonality lets that sum run from
 either side. Below degree ``_NODE_WEIGHTS_FROM_N`` the transform acts on the
-samples, one memoised complex FFT of length 2n (or one real DCT), so a sweep
+samples, one memoised FFT of length 2n (real for real samples), so a sweep
 over omega at one amplitude transforms once. From there on it acts on the
 real moments: node weights W = (1/n) diag(h) DCT-I(M), one complex FFT of
 length n (:func:`oscint.chebyshev._node_weights`), and the value is
@@ -95,7 +95,7 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
     """Amplitude at the nodes: float64 if its values are real, else complex128.
 
     Real samples stay real so that :func:`forward_coefficients` takes one
-    real DCT instead of a complex transform. A non-finite sample raises
+    real FFT instead of a complex one. A non-finite sample raises
     :class:`AmplitudeSamplingError` naming its node.
 
     The check is one pass, the sum of |f|^2 (``np.vdot``), which is finite

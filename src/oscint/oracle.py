@@ -161,9 +161,9 @@ def oscillatory_reference_quadrature(
     The initial panel width is at most pi/(4|omega|) so every panel
     resolves the oscillation; panel count doubles until two successive
     refinements agree within ``tol``. Raises ``ValueError`` naming the
-    argument when ``a``, ``b`` or ``omega`` is not finite.
+    argument when ``a``, ``b``, ``omega`` or ``tol`` is not finite.
     """
-    for name, value in (("a", a), ("b", b), ("omega", omega)):
+    for name, value in (("a", a), ("b", b), ("omega", omega), ("tol", tol)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not a < b:

@@ -91,6 +91,18 @@ def test_kernel_does_not_import_the_reference_solver():
     assert imported == []
 
 
+def test_no_module_imports_scipy_fft():
+    # every Chebyshev transform runs on numpy.fft: one FFT library
+    package = Path(oscint.__file__).parent
+    imported = [
+        (path.name, m)
+        for path in sorted(package.glob("*.py"))
+        for m in _imported_modules(path)
+        if m.split(".")[:2] == ["scipy", "fft"]
+    ]
+    assert imported == []
+
+
 def test_one_singular_matrix_error():
     # raised by the moment recurrence and by the band solvers alike
     assert oscint.SingularMatrixError is oscint.banded.SingularMatrixError

@@ -58,10 +58,9 @@ def straightforward_node_weights(m, nodes):
     r[2::4] *= -1
     r[3::4] *= -1
     extension[n + 1 :] = r[n - 1 : 0 : -1]
-    # the FFT the code under test calls: numpy's and scipy's may differ in
-    # the last bits (numpy < 2 has its own pocketfft), and at lengths with a
-    # large prime factor it is split at that factor (``test_chebyshev.py``
-    # holds the split to numpy's FFT)
+    # the FFT the code under test calls: at lengths with a large prime
+    # factor it is split at that factor (``test_chebyshev.py`` holds the
+    # split to numpy's FFT)
     z = _fft(extension.view(np.complex128), nodes)
     z = np.append(z, z[0])
     sines = 1.0 - nodes

@@ -40,30 +40,28 @@ TABLE_1 = {
 
 
 def count_transforms(monkeypatch):
-    """Count the ``dct`` and ``fft`` calls made through ``oscint.chebyshev``.
+    """Count the ``numpy.fft`` calls that ``oscint.chebyshev`` makes.
 
-    Scipy's ``dct`` and ``fft`` are counted where ``oscint.chebyshev`` binds
-    them, and ``numpy.fft.fft``, which the node weights call, as an ``fft``.
-    The memoised last transform is forgotten first, so that the count does
-    not depend on what an earlier test transformed.
+    ``rfft`` transforms real samples; ``fft`` transforms complex samples and
+    the node weights. The memoised last transform is forgotten first, so
+    that the count does not depend on what an earlier test transformed.
     """
     import oscint.chebyshev as chebyshev_mod
 
     monkeypatch.setattr(chebyshev_mod, "_last_transform", None)
-    calls = {"dct": 0, "fft": 0}
+    calls = {"rfft": 0, "fft": 0}
 
-    def counted(module, name):
-        inner = getattr(module, name)
+    def counted(name):
+        inner = getattr(np.fft, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(np.fft, name, wrapper)
 
     for name in calls:
-        counted(chebyshev_mod, name)
-    counted(np.fft, "fft")
+        counted(name)
     return calls
 
 
@@ -680,10 +678,10 @@ class TestNodeWeightRoute:
     @pytest.mark.parametrize(
         "n,amplitude,calls",
         [
-            (EDGE[0], lambda x: 1 / (x + 2), {"dct": 1, "fft": 0}),
-            (EDGE[1], lambda x: 1 / (x + 2), {"dct": 0, "fft": 1}),
-            (EDGE[0], lambda x: np.exp((0.5 + 1j) * x), {"dct": 0, "fft": 1}),
-            (EDGE[1], lambda x: np.exp((0.5 + 1j) * x), {"dct": 0, "fft": 1}),
+            (EDGE[0], lambda x: 1 / (x + 2), {"rfft": 1, "fft": 0}),
+            (EDGE[1], lambda x: 1 / (x + 2), {"rfft": 0, "fft": 1}),
+            (EDGE[0], lambda x: np.exp((0.5 + 1j) * x), {"rfft": 0, "fft": 1}),
+            (EDGE[1], lambda x: np.exp((0.5 + 1j) * x), {"rfft": 0, "fft": 1}),
         ],
         ids=["real-below", "real-from", "complex-below", "complex-from"],
     )
@@ -707,7 +705,7 @@ class TestNodeWeightRoute:
 
         monkeypatch.setattr(np.fft, "fft", recorded)
         integrate_on_interval(lambda x: np.exp((0.5 + 1j) * x), omega * n, -1.0, 1.0, n)
-        assert counted == {"dct": 0, "fft": 2}
+        assert counted == {"rfft": 0, "fft": 2}
         assert inputs == [((601, 2), 0), ((601, 2), 1)]
 
     @pytest.mark.parametrize("n", [_NODE_WEIGHTS_FROM_N, _NODE_WEIGHTS_FROM_N + 1])
@@ -761,7 +759,7 @@ print(growth * (1 if sys.platform == "darwin" else 1024))  # bytes
 
 
 class TestAmplitudeDtype:
-    """Real samples stay real and take one real DCT; complex ones one FFT."""
+    """Real samples stay real and take one ``rfft``; complex ones one ``fft``."""
 
     @pytest.mark.parametrize(
         "omega,path",
@@ -804,8 +802,8 @@ class TestAmplitudeDtype:
     @pytest.mark.parametrize(
         "amplitude,transform",
         [
-            (lambda x: 1 / (x + 2), "dct"),
-            (lambda x: 1, "dct"),
+            (lambda x: 1 / (x + 2), "rfft"),
+            (lambda x: 1, "rfft"),
             (lambda x: np.exp((0.5 + 1j) * x), "fft"),
             (lambda x: (1 / (x + 2)).astype(complex), "fft"),
         ],
@@ -815,7 +813,7 @@ class TestAmplitudeDtype:
     def test_one_transform_per_integral(self, monkeypatch, amplitude, transform, omega):
         calls = count_transforms(monkeypatch)
         integrate_on_interval(amplitude, omega, 0.0, 3.0, 97)
-        assert calls == {"dct": 0, "fft": 0, transform: 1}
+        assert calls == {"rfft": 0, "fft": 0, transform: 1}
 
     @staticmethod
     def _substituted(amplitude):
@@ -826,7 +824,7 @@ class TestAmplitudeDtype:
     def test_substituted_real_amplitude_takes_one_dct(self, monkeypatch):
         calls = count_transforms(monkeypatch)
         self._substituted(lambda x: 1 / (x**2 + 1))
-        assert calls == {"dct": 1, "fft": 0}
+        assert calls == {"rfft": 1, "fft": 0}
 
     def test_substituted_real_and_complex_dtype_agree(self):
         real = self._substituted(lambda x: 1 / (x**2 + 1))
@@ -856,7 +854,7 @@ class TestTransformMemo:
             assert abs(result.value - exact) <= 1e-13
             paths.add(result.path)
         assert paths == {SolvePath.DIRECT_TRIANGULAR, SolvePath.QUADRATURE}
-        assert calls == {"dct": 0, "fft": 1}
+        assert calls == {"rfft": 0, "fft": 1}
 
     def test_changed_closure_state_gets_a_fresh_transform(self, monkeypatch):
         calls = count_transforms(monkeypatch)
@@ -870,7 +868,7 @@ class TestTransformMemo:
             result = integrate_on_interval(amp, 7.0, -1.0, 1.0, 40)
             z = alpha + 7j
             assert abs(result.value - 2 * np.sinh(z) / z) <= 1e-14
-        assert calls == {"dct": 1, "fft": 1}
+        assert calls == {"rfft": 1, "fft": 1}
 
     def test_keys_are_exact_bytes_and_dtype(self, monkeypatch):
         f = np.array([1.0, 0.0, 2.0, 0.5, 3.0, 4.0])
@@ -887,7 +885,7 @@ class TestTransformMemo:
         ]
         calls = count_transforms(monkeypatch)
         got = [forward_coefficients(samples) for samples in sequence]
-        assert calls == {"dct": 3, "fft": 2}
+        assert calls == {"rfft": 3, "fft": 2}
         # every result, hit or miss, is bit-identical to a transform from scratch
         for samples, c in zip(sequence, got):
             monkeypatch.setattr("oscint.chebyshev._last_transform", None)
@@ -900,7 +898,7 @@ class TestTransformMemo:
         before = forward_coefficients(f).copy()
         f[3] += 1.0
         after = forward_coefficients(f)
-        assert calls == {"dct": 2, "fft": 0}
+        assert calls == {"rfft": 2, "fft": 0}
         assert not np.array_equal(before, after)
         np.testing.assert_allclose(
             npcheb.chebval(gauss_lobatto_nodes(6), after), f, rtol=0, atol=1e-14
@@ -935,7 +933,7 @@ class TestTransformMemo:
             assert abs(nested.value - exact.value) <= 1e-13 * abs(exact.value)
         # per outer integral: one real inner transform per node (the second
         # frequency hits), then the outer one and the closed form's
-        assert calls == {"dct": len(omegas) * 25, "fft": len(omegas) * 2}
+        assert calls == {"rfft": len(omegas) * 25, "fft": len(omegas) * 2}
 
 
 def test_problem_validation():

@@ -101,8 +101,20 @@ class TestReferenceQuadrature:
         assert not sampled
 
     def test_unattainable_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            oscillatory_reference_quadrature(lambda x: x, 1.0, -1.0, 1.0, tol=1e-16)
+        # all before any sampling: a NaN tol fails every comparison, so it
+        # would double the panels up to the cap
+        sampled = []
+
+        def amplitude(x):
+            sampled.append(x)
+            return x
+
+        with pytest.raises(ValueError, match="tolerance below"):
+            oscillatory_reference_quadrature(amplitude, 1.0, -1.0, 1.0, tol=1e-16)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                oscillatory_reference_quadrature(amplitude, 1.0, -1.0, 1.0, tol=tol)
+        assert not sampled
 
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         # an endpoint singularity defeats panel doubling at this tolerance
