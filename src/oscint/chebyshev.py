@@ -122,10 +122,12 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
     ``[f_0, ..., f_n, f_{n-1}, ..., f_1]`` (length 2n). Complex samples
     take one ``numpy.fft.fft``, real samples one ``numpy.fft.rfft``, of
     whose outputs the real parts are the DCT. Either way c is complex; for
-    real samples its imaginary parts are exactly zero.
+    real samples its imaginary parts are exactly zero. Samples of any
+    other dtype are first cast to float64, or to complex128 if complex, so
+    the coefficients are always complex128 and in double precision.
 
-    The coefficients of the last float64 or complex128 samples are
-    memoised, keyed on their dtype, shape and exact bytes (held in a
+    The coefficients of the last samples are memoised, keyed on their
+    (cast) dtype, shape and exact bytes (held in a
     private copy, so mutating the samples later cannot cause a false
     hit). A repeat of bitwise-equal samples returns the same
     coefficients without a transform; -0.0 and 0.0, or real and complex
@@ -138,12 +140,12 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
     f_values = np.asarray(f_values)
     n = len(f_values) - 1
     check_degree(n)
-    key = None
-    if f_values.dtype.char in "dD":  # float64 or complex128, either byte order
-        key = (f_values.dtype, f_values.shape, f_values.tobytes())
-        last = _last_transform
-        if last is not None and last[0] == key:
-            return last[1]
+    if f_values.dtype.char not in "dD":  # float64 or complex128, either byte order
+        f_values = f_values.astype(complex if np.iscomplexobj(f_values) else float)
+    key = (f_values.dtype, f_values.shape, f_values.tobytes())
+    last = _last_transform
+    if last is not None and last[0] == key:
+        return last[1]
     extension = np.concatenate((f_values, f_values[n - 1 : 0 : -1]))
     if np.iscomplexobj(f_values):
         raw = np.fft.fft(extension)[: n + 1]
@@ -155,8 +157,7 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
     c[n] /= 2.0
     c.flags.writeable = False
     c = c.view()
-    if key is not None:
-        _last_transform = (key, c)
+    _last_transform = (key, c)
     return c
 
 

@@ -4,13 +4,19 @@ Recursive-descent parser over the grammar: decimal/scientific
 literals, constants ``pi`` and ``i``, the variable ``x``, unary minus,
 binary ``+ - * / ^`` (``^`` right-associative and binding tighter than
 unary minus), the calls sin cos exp sqrt abs asin atan log, and
-parentheses. Everything evaluates in complex arithmetic with principal
-branches.
+parentheses. Each rule returns the canonical text of what it read, every
+operation parenthesized and every literal written as ``repr(float)``
+(what ``to_string()`` returns, and text that parses to the same
+function), and a closure of the complex ``x`` that evaluates it.
+Everything evaluates in complex arithmetic with principal branches; an
+expression without ``x`` returns a fresh array of ``x``'s shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +35,23 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": np.pi + 0j, "i": 1j}
 
+# numpy's ufuncs rather than Python's operators, also where both operands
+# are x-free scalars: Python's complex division and power raise
+# ZeroDivisionError where numpy returns inf or nan, as on arrays.
+_OPERATORS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.power,
+}
+
+# A number (a run of digits and dots, then an optional exponent), a name,
+# or any other single character; finditer skips the whitespace between.
+_TOKEN = re.compile(r"(\.?\d[\d.]*(?:[eE][+-]?\d+)?)|([^\W\d]\w*)|(\S)")
+
+_PUNCTUATION = frozenset("+-*/^()")
+
 
 class ParseError(ValueError):
     """Syntax error with the byte offset and the tokens expected there."""
@@ -42,230 +65,125 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Node:
-    def evaluate(self, x):
-        raise NotImplementedError
-
-    def to_string(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Num(Node):
-    value: float
-
-    def evaluate(self, x):
-        return np.full_like(np.asarray(x, dtype=complex), self.value)
-
-    def to_string(self):
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class Const(Node):
-    name: str
-
-    def evaluate(self, x):
-        return np.full_like(np.asarray(x, dtype=complex), _CONSTANTS[self.name])
-
-    def to_string(self):
-        return self.name
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    def evaluate(self, x):
-        return np.asarray(x, dtype=complex)
-
-    def to_string(self):
-        return "x"
-
-
-@dataclass(frozen=True)
-class Neg(Node):
-    operand: Node
-
-    def evaluate(self, x):
-        return -self.operand.evaluate(x)
-
-    def to_string(self):
-        return f"(-{self.operand.to_string()})"
-
-
-@dataclass(frozen=True)
-class Bin(Node):
-    op: str
-    left: Node
-    right: Node
-
-    def evaluate(self, x):
-        a = self.left.evaluate(x)
-        b = self.right.evaluate(x)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return a**b
-
-    def to_string(self):
-        return f"({self.left.to_string()}{self.op}{self.right.to_string()})"
-
-
-@dataclass(frozen=True)
-class Call(Node):
-    name: str
-    arg: Node
-
-    def evaluate(self, x):
-        return _FUNCTIONS[self.name](self.arg.evaluate(x))
-
-    def to_string(self):
-        return f"{self.name}({self.arg.to_string()})"
-
-
-@dataclass(frozen=True)
 class AmplitudeExpr:
     """Parsed expression; callable on real or complex numpy input."""
 
-    root: Node
     source: str
+    _text: str
+    _fn: Callable = field(repr=False, compare=False)
 
     def __call__(self, x):
+        x = np.asarray(x, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.root.evaluate(x)
+            y = self._fn(x)
+        # without x the closures return a scalar
+        return y if isinstance(y, np.ndarray) else np.full(x.shape, y)
 
     def to_string(self) -> str:
-        return self.root.to_string()
-
-
-_TOKEN_CHARS = set("+-*/^()")
+        return self._text
 
 
 def _tokenize(src: str):
     tokens = []  # (kind, text, offset)
-    pos = 0
-    n = len(src)
-    while pos < n:
-        ch = src[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        if ch.isdigit() or (ch == "." and pos + 1 < n and src[pos + 1].isdigit()):
-            start = pos
-            while pos < n and (src[pos].isdigit() or src[pos] == "."):
-                pos += 1
-            if pos < n and src[pos] in "eE":
-                mark = pos
-                pos += 1
-                if pos < n and src[pos] in "+-":
-                    pos += 1
-                if pos < n and src[pos].isdigit():
-                    while pos < n and src[pos].isdigit():
-                        pos += 1
-                else:
-                    pos = mark  # not an exponent; 'e' belongs to what follows
-            text = src[start:pos]
+    for match in _TOKEN.finditer(src):
+        group, text, offset = match.lastindex, match.group(), match.start()
+        if group == 1:  # a number
             try:
                 float(text)
             except ValueError:
-                raise ParseError(start, ("number",), text) from None
-            tokens.append(("num", text, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (src[pos].isalnum() or src[pos] == "_"):
-                pos += 1
-            tokens.append(("ident", src[start:pos], start))
-            continue
-        raise ParseError(pos, ("number", "identifier", "operator"), ch)
-    tokens.append(("end", "", n))
+                raise ParseError(offset, ("number",), text) from None
+            tokens.append(("num", text, offset))
+        elif group == 2 and (text[0].isalpha() or text[0] == "_"):
+            tokens.append(("ident", text, offset))
+        elif text in _PUNCTUATION:
+            tokens.append((text, text, offset))
+        else:
+            # a name may start with a digit that is not decimal, such as "²"
+            ch = text[0]
+            if ch.isdigit():
+                raise ParseError(offset, ("number",), ch)
+            raise ParseError(offset, ("number", "identifier", "operator"), ch)
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
+def _apply(op: str, left, right):
+    (left_text, f), (right_text, g) = left, right
+    ufunc = _OPERATORS[op]
+    return f"({left_text}{op}{right_text})", lambda x: ufunc(f(x), g(x))
+
+
 class _Parser:
+    """Each rule returns ``(canonical text, function of complex x)``."""
+
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
     def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(tok[2], (kind,), tok[1] or "end of input")
-        return self.advance()
+        found, text, offset = self.tokens[self.pos]
+        if found != kind:
+            raise ParseError(offset, (kind,), text or "end of input")
+        self.pos += 1
 
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(tok[2], ("operator", "end of input"), tok[1])
-        return node
+    def parse(self):
+        result = self.expr()
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(offset, ("operator", "end of input"), text)
+        return result
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.term())
-        return node
+    def chain(self, operand, ops: str):
+        """Left-associative ``operand (op operand)*``."""
+        result = operand()
+        while (op := self.peek()) in ops:
+            self.pos += 1
+            result = _apply(op, result, operand())
+        return result
 
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.unary())
-        return node
+    def expr(self):
+        return self.chain(self.term, "+-")
 
-    def unary(self) -> Node:
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+    def term(self):
+        return self.chain(self.unary, "*/")
 
-    def power(self) -> Node:
+    def unary(self):
+        if self.peek() == "-":
+            self.pos += 1
+            text, f = self.unary()
+            return f"(-{text})", lambda x: -f(x)
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
+        if self.peek() == "^":
+            self.pos += 1
             # right-associative; exponent may itself be signed
-            return Bin("^", base, self.unary())
+            return _apply("^", base, self.unary())
         return base
 
-    def atom(self) -> Node:
-        kind, text, offset = self.peek()
+    def atom(self):
+        kind, text, offset = self.tokens[self.pos]
+        self.pos += 1
         if kind == "num":
-            self.advance()
-            return Num(float(text))
+            value = complex(float(text))
+            return repr(value.real), lambda x: value
         if kind == "(":
-            self.advance()
-            node = self.expr()
+            result = self.expr()
             self.expect(")")
-            return node
+            return result
         if kind == "ident":
-            self.advance()
             if text in _FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                arg_text, arg = self.expr()
                 self.expect(")")
-                return Call(text, arg)
+                fn = _FUNCTIONS[text]
+                return f"{text}({arg_text})", lambda x: fn(arg(x))
             if text in _CONSTANTS:
-                return Const(text)
+                value = _CONSTANTS[text]
+                return text, lambda x: value
             if text == "x":
-                return Var()
+                return "x", lambda x: x
             raise ParseError(
                 offset,
                 ("x", "pi", "i") + tuple(sorted(_FUNCTIONS)),
@@ -276,4 +194,4 @@ class _Parser:
 
 def parse_amplitude(src: str) -> AmplitudeExpr:
     """Parse an amplitude expression in the variable x."""
-    return AmplitudeExpr(root=_Parser(src).parse(), source=src)
+    return AmplitudeExpr(src, *_Parser(src).parse())

@@ -228,6 +228,24 @@ class TestTransformMemo:
         assert forward_coefficients(f).tobytes() == expected.tobytes()
 
 
+class TestSampleDtypes:
+    @pytest.mark.parametrize("n", [16, 97])
+    @pytest.mark.parametrize(
+        "narrow,wide", [(np.float32, np.float64), (np.complex64, np.complex128)]
+    )
+    def test_narrow_samples_give_the_bits_of_their_upcast(
+        self, monkeypatch, n, narrow, wide
+    ):
+        f = np.exp(gauss_lobatto_nodes(n) * (0.7 - 1.3j))
+        samples = (f if np.dtype(narrow).kind == "c" else f.real).astype(narrow)
+        monkeypatch.setattr(chebyshev, "_last_transform", None)
+        got = forward_coefficients(samples)
+        monkeypatch.setattr(chebyshev, "_last_transform", None)
+        expected = forward_coefficients(samples.astype(wide))
+        assert got.dtype == expected.dtype == np.complex128
+        assert got.tobytes() == expected.tobytes()
+
+
 def powers_of_i(n):
     """i^k for k = 0..n, exactly."""
     return np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]

@@ -130,3 +130,83 @@ class TestErrors:
     def test_dangling_operator(self):
         with pytest.raises(ParseError):
             parse_amplitude("1 +")
+
+
+IDENTIFIERS = (
+    "x", "pi", "i", "abs", "asin", "atan", "cos", "exp", "log", "sin", "sqrt"
+)
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "src,offset,expected",
+        [
+            ("1.2.3", 0, ("number",)),
+            ("2e+", 1, ("operator", "end of input")),
+            ("x**2", 2, ("number", "identifier", "(")),
+            ("+x", 0, ("number", "identifier", "(")),
+            ("sin x", 4, ("(",)),
+            ("1/(x+2))", 7, ("operator", "end of input")),
+            ("sin()", 4, ("number", "identifier", "(")),
+            ("3x", 1, ("operator", "end of input")),
+            ("²", 0, ("number",)),  # a superscript two is a digit, not a number
+            ("x_1", 0, IDENTIFIERS),
+            ("é", 0, IDENTIFIERS),
+        ],
+    )
+    def test_offset_and_expected(self, src, offset, expected):
+        with pytest.raises(ParseError) as err:
+            parse_amplitude(src)
+        assert (err.value.offset, err.value.expected) == (offset, expected)
+
+
+def lit(p):
+    """A literal as the grammar reads it: a negative one is a negated positive."""
+    return complex(p) if p >= 0 else -complex(-p)
+
+
+class TestWorkloadExpressionValues:
+    """Each expression family the nonlinear-phase benchmark sends through the
+    CLI evaluates bit for bit as its numpy complex twin."""
+
+    x = np.concatenate([np.linspace(-1.0, 1.0, 33), np.linspace(0.9, 2.1, 17)])
+
+    @pytest.mark.parametrize(
+        "src,twin",
+        [
+            ("1/(x^2+{p})", lambda xc, p: (1 + 0j) / (xc ** (2 + 0j) + lit(p))),
+            ("exp({p}*x)", lambda xc, p: np.exp(lit(p) * xc)),
+            ("cos({p}*x)+2", lambda xc, p: np.cos(lit(p) * xc) + (2 + 0j)),
+            ("x^2+{p}*x+1", lambda xc, p: xc ** (2 + 0j) + lit(p) * xc + (1 + 0j)),
+            ("sin(x+{p})", lambda xc, p: np.sin(xc + lit(p))),
+            ("cos(x+{p})", lambda xc, p: np.cos(xc + lit(p))),
+            ("x^3", lambda xc, p: xc ** (3 + 0j)),
+            ("3*x^2", lambda xc, p: (3 + 0j) * xc ** (2 + 0j)),
+            # the phase g = exp(c*x) is the amplitude family exp(p*x) above
+            ("{p}*exp({p}*x)", lambda xc, p: lit(p) * np.exp(lit(p) * xc)),
+        ],
+    )
+    @pytest.mark.parametrize("p", [0.7, 1.9374512036, -0.83172645, 0.5618, -0.1734])
+    def test_bit_for_bit(self, src, twin, p):
+        got = parse_amplitude(src.format(p=repr(p)))(self.x)
+        want = twin(self.x.astype(complex), p)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestConstantExpressions:
+    def test_returns_a_fresh_complex_array_of_the_input_shape(self):
+        expr = parse_amplitude("3")
+        x = np.linspace(-1.0, 1.0, 5)
+        first, second = expr(x), expr(x)
+        assert first.dtype == np.complex128 and first.shape == (5,)
+        np.testing.assert_array_equal(first, np.full(5, 3 + 0j))
+        first[0] = 7
+        assert second[0] == 3
+
+    @pytest.mark.parametrize("src", ["1/0", "0^-1", "(2*x-x-x)^-1"])
+    def test_division_by_zero_is_not_an_exception(self, src):
+        out = parse_amplitude(src)(np.zeros(3))
+        assert out.shape == (3,)
+        assert not np.isfinite(out).any()
