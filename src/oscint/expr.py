@@ -27,7 +27,7 @@ _FUNCTIONS = {
     "cos": np.cos,
     "exp": np.exp,
     "sqrt": np.sqrt,
-    "abs": np.abs,
+    "abs": lambda z: np.abs(z) + 0j,  # np.abs of a complex value is real
     "asin": np.arcsin,
     "atan": np.arctan,
     "log": np.log,

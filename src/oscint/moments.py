@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import special
 from scipy.linalg.lapack import dgtsv, dtbtrs
 
 from .chebyshev import _grid, _node_weights, check_degree, forward_coefficients
@@ -202,8 +201,13 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
     ``dgtsv``, whose rows decouple into the Clenshaw-Curtis weights
     2/(1-k^2) at w = 0. The decaying homogeneous solution m_k = k J_k(w)
     satisfies row 1 where J_0(w) = 0, making the system singular there. So
-    where |J_1(w)| > |J_0(w)|, M_1 is pinned instead and rows 2..N are
-    solved, singular only where J_1(w) = 0; the zeros of J_0 and J_1 interlace.
+    where sin 2|w| < 0, that is where w sin w cos w < 0, M_1 is pinned
+    instead and rows 2..N are solved, singular only where J_1(w) = 0. The
+    zeros of J_0 lie near (m - 1/4)pi, where sin 2|w| = -1, and those of J_1
+    near (m + 1/4)pi, where sin 2|w| = 1 (DLMF 10.17(i)): on (0, 600] each
+    formulation is used at least 0.69 from its own singular points, a margin
+    that tends to pi/4. Near w = 0 the product is positive, so M_1, whose
+    closed form divides by w^2, is not pinned there.
 
     Nothing in the rows but w depends on the call: both routes slice one
     read-only band table (:func:`_moment_rows`). A call forms eight values
@@ -236,7 +240,7 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
     else:
         tail = (-4 * cos_w, -4 * sin_w, 4 * cos_w, 4 * sin_w)
         first = 1  # k of the first row solved, and of its diagonal unknown
-        if abs(special.j1(w)) > abs(special.j0(w)):  # |w| > 1.43: M_1 does not cancel
+        if w * sin_w * cos_w < 0:  # sin 2|w| < 0, which it never is near w = 0
             m1 = 2.0 * (sin_w - w * cos_w) / (w * w)
             head = (m0, m1, 4 * cos_w + 3 * w * m1, 4 * sin_w)
             first = 2
@@ -296,10 +300,10 @@ def integrate_on_interval(
     if not a < b:
         raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
     check_degree(n, 2)
-    half = (b - a) / 2
-    mid = (b + a) / 2
-    if not math.isfinite(mid):  # a + b overflows; every other mid keeps its bits
-        mid = a / 2 + b / 2
+    # halving is exact above the subnormal range, so these are (b - a)/2 and
+    # (b + a)/2 to the bit there, and neither overflows where b - a or b + a would
+    half = b / 2 - a / 2
+    mid = a / 2 + b / 2
     omega_eff = omega * half
     if not math.isfinite(omega_eff):
         raise ValueError(f"omega must be finite, got {omega}*(b-a)/2 = {omega_eff}")

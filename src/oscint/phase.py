@@ -114,7 +114,8 @@ def _probe_table(phase: PhaseSpec) -> _ProbeTable:
     of the table.
     """
     a, b = phase.bracket
-    x = (b - a) / 2 * _PROBES + (b + a) / 2
+    # by halves, as integrate_on_interval maps its nodes: b - a may overflow
+    x = (b / 2 - a / 2) * _PROBES + (a / 2 + b / 2)
     x[0], x[-1] = a, b
     dv = _values(phase.g_prime, x, "g'")
     if np.any(dv == 0) or not (np.all(dv > 0) or np.all(dv < 0)):

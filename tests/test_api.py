@@ -4,6 +4,9 @@ names the benchmark's tracer wraps."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,15 +95,30 @@ def test_kernel_does_not_import_the_reference_solver():
 
 
 def test_no_module_imports_scipy_fft():
-    # every Chebyshev transform runs on numpy.fft: one FFT library
+    # every Chebyshev transform runs on numpy.fft: one FFT library; and the
+    # moment route is chosen by the sign of sin 2w, not by Bessel functions
     package = Path(oscint.__file__).parent
     imported = [
         (path.name, m)
         for path in sorted(package.glob("*.py"))
         for m in _imported_modules(path)
-        if m.split(".")[:2] == ["scipy", "fft"]
+        if m.split(".")[:2] in (["scipy", "fft"], ["scipy", "special"])
     ]
     assert imported == []
+
+
+def test_import_does_not_load_scipy_special():
+    # in a fresh interpreter: this one has loaded it for the tests
+    src = str(Path(oscint.__file__).parents[1])
+    script = "import oscint, sys; print('scipy.special' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_one_singular_matrix_error():

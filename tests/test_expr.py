@@ -81,6 +81,25 @@ class TestFunctions:
         )
 
 
+class TestAbsIsComplex:
+    # every function evaluates to complex, abs too, also without x
+    @pytest.mark.parametrize(
+        "src,expected",
+        [
+            pytest.param("abs(x)", np.abs, id="abs(x)"),
+            pytest.param("abs(x-3*i)", lambda x: np.abs(x - 3j), id="abs(x-3*i)"),
+            pytest.param("abs(3)", lambda x: np.full_like(x, 3.0), id="abs(3)"),
+            pytest.param("abs(-4*i)", lambda x: np.full_like(x, 4.0), id="abs(-4*i)"),
+        ],
+    )
+    def test_dtype_and_values(self, src, expected):
+        x = np.linspace(-2.0, 2.0, 9)
+        out = parse_amplitude(src)(x)
+        assert out.dtype == np.complex128 and out.shape == x.shape
+        assert not out.imag.any()
+        assert out.real.tobytes() == expected(x).tobytes()
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize(
         "src",

@@ -398,6 +398,21 @@ class TestIntegrateOnInterval:
         result = integrate_on_interval(lambda x: np.ones_like(x), omega, a, b, 8)
         assert abs(result.value - expected) <= 1e-14 * abs(expected)
 
+    def test_overflowing_endpoint_difference_takes_the_halves(self):
+        # b - a overflows, (b - a)/2 and the integral, 2e8, do not
+        result = integrate_on_interval(lambda x: 1e-300 + 0 * x, 0.0, -1e308, 1e308, 8)
+        assert abs(result.value - 2e8) <= 1e-14 * 2e8
+
+    @pytest.mark.parametrize("omega", [0.0, 4e-308])
+    def test_substitute_probes_an_overflowing_bracket_by_halves(self, omega):
+        # the probes of (-1e308, 1e308) are finite, so g = x/4 is monotone there
+        phase = PhaseSpec(lambda x: x / 4, lambda x: 0.25 + 0 * x, (-1e308, 1e308))
+        f, (lo, hi), w = substitute(lambda x: 1e-300 + 0 * x, phase, omega)
+        assert (lo, hi) == (-2.5e307, 2.5e307)
+        expected = 2e8 * np.sinc(omega * 2.5e307 / np.pi)
+        result = integrate_on_interval(f, w, lo, hi, 8)
+        assert abs(result.value - expected) <= 1e-14 * abs(expected)
+
     @pytest.mark.parametrize("n", [8, 9])
     @pytest.mark.parametrize("omega", [0.0, 1e-20, -1e-15])
     def test_zero_frequency_integrates_the_solver_samples(self, monkeypatch, omega, n):
@@ -550,9 +565,19 @@ class TestMomentRoute:
     def test_frequencies_at_bessel_zeros(self, order):
         # k J_k(omega) solves the homogeneous moment rows, so where J_0 or J_1
         # vanishes one choice of bottom row is singular: the other must be used
-        for omega in jn_zeros(order, 3):
-            for n in (64, 7144):
-                assert moment_route_error(-1.2 + 0.7j, omega, n) <= 1e-13
+        for zero in jn_zeros(order, 40):
+            for omega in (zero - 1e-6, zero, zero + 1e-6):
+                for n in (64, 7144):
+                    if omega <= n:
+                        assert moment_route_error(-1.2 + 0.7j, omega, n) <= 1e-13
+
+    def test_frequencies_at_route_switches(self):
+        # the sign of sin 2|omega| picks the bottom row: it changes at k pi/2
+        for k in range(1, 81):
+            for omega in (k * np.pi / 2 - 1e-9, k * np.pi / 2, k * np.pi / 2 + 1e-9):
+                for n in (64, 7144):
+                    if omega <= n:
+                        assert moment_route_error(-1.2 + 0.7j, omega, n) <= 1e-13
 
 
 # (k, omega, n): the boundary-value solve where |omega| <= n, forwards

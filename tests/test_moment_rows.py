@@ -11,7 +11,6 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import special
 from scipy.linalg.lapack import dgtsv, dtbtrs
 
 import oscint.moments as moments
@@ -50,7 +49,7 @@ def straightforward_real_moments(omega, n):
         below *= -w
         above *= -w
         first = 0
-        if abs(special.j1(w)) > abs(special.j0(w)):
+        if w * sin_w * cos_w < 0:  # sin 2|w| < 0
             m[1] = 2.0 * (sin_w - w * cos_w) / (w * w)
             rhs[1] += 3 * w * m[1]
             first = 1
@@ -75,6 +74,13 @@ def truncation(omega, n):
     return n if abs(omega) > n else max(n, math.ceil(1.5 * abs(omega))) + 40
 
 
+# both sides of the boundary-value route's switch, sin 2|w| = 0: the three
+# first lie where |J_1(w)| > |J_0(w)| but M_1 is not pinned
+SWITCH_FREQUENCIES = (1.45, 1.5, 1.56) + tuple(
+    k * math.pi / 2 + d for k in range(1, 9) for d in (-0.01, 0.01)
+)
+
+
 def seeded_calls(seed, count):
     """(omega, n) whose truncation grows, shrinks and crosses |omega| = n."""
     rng = np.random.default_rng(seed)
@@ -82,6 +88,9 @@ def seeded_calls(seed, count):
         (w, n)
         for n in (2, 3, 1023, 1024)
         for w in (0.0, 1e-20, -1e-20, 1.7e308, -1.7e308, float(n), -float(n) - 0.5)
+    ]
+    calls += [
+        (s * w, n) for n in (16, 1024) for s in (1, -1) for w in SWITCH_FREQUENCIES
     ]
     for _ in range(count):
         n = int(rng.integers(2, 3000))
@@ -108,6 +117,23 @@ def test_bit_identical_to_the_straightforward_solve(small_table):
         # the table is grown to exactly the largest truncation asked for
         grown = max(grown, truncation(omega, n))
         assert moments._moment_rows_table.band.shape[1] - 1 == grown
+
+
+def test_switch_frequencies_take_both_bottom_rows(monkeypatch):
+    # M_1 is pinned, and row 1 left out of the solve, exactly where sin 2|w| < 0
+    solved = []
+
+    def record(dl, d, du, b, *args):
+        solved.append(len(d))
+        return dgtsv(dl, d, du, b, *args)
+
+    monkeypatch.setattr(moments, "dgtsv", record)
+    omegas = [s * w for s in (1, -1) for w in SWITCH_FREQUENCIES]
+    for w in omegas:
+        moments._real_moments(w, 16)
+    pinned = [truncation(w, 16) - rows for w, rows in zip(omegas, solved)]
+    assert pinned == [int(math.sin(2 * abs(w)) < 0) for w in omegas]
+    assert pinned[:3] == [0, 0, 0] and 0 < sum(pinned) < len(pinned)
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 1023, 1024, 2500])
@@ -205,8 +231,8 @@ def test_boundary_route_passes_contiguous_arrays(monkeypatch):
 
     monkeypatch.setattr(moments, "dgtsv", contiguous_only)
     f = lambda x: np.exp(0.5 * x)
-    # |J_0(w)| >= |J_1(w)| at w = 0.5: all N rows are solved; at w = 5 row 1
-    # is dropped
+    # sin 2w > 0 at w = 0.5: all N rows are solved; sin 10 < 0, so at w = 5
+    # row 1 is dropped
     for n, omega in [(2, 0.5), (64, 0.5), (64, 5.0), (moments._NODE_WEIGHTS_FROM_N, 5.0)]:
         result = integrate_on_interval(f, omega, -1.0, 1.0, n)
         assert result.path is SolvePath.QUADRATURE
