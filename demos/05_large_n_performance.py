@@ -10,10 +10,11 @@ integrals on both paths, min of 3 runs each, and prints the time per
 unknown, which does not grow as n grows a hundredfold. The grids of the
 last four degrees are memoised, so the second and third runs of each n
 reuse the first run's Gauss-Lobatto nodes; the minimum therefore leaves
-out the node computation (about 2 ms at n = 1e5). The transform of the
-last samples is memoised too, so the amplitude's sign alternates between
-runs: consecutive runs then sample different values and each pays for
-its own transform.
+out the node computation (about 2 ms at n = 1e5). integrate_standard
+memoises no transform, so every run pays for its own; the amplitude's
+sign still alternates between runs, so that consecutive runs sample
+different values and a cache of the samples' transform could not shorten
+the minimum.
 
 The last row of each path, n = 99991, is a prime. The transform's
 length 2n then has a large prime factor, and pocketfft runs it as a

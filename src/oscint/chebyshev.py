@@ -8,8 +8,8 @@ The forward transform is at most one ``numpy.fft`` call: the type-I DCT
 of the samples is the first n+1 outputs of the FFT of their even extension
 ``[f_0, ..., f_n, f_{n-1}, ..., f_1]``, a complex ``fft`` for complex
 samples and a real ``rfft`` for real ones, whose DCT is the real part of
-its n+1 outputs. A call whose samples repeat the previous call's bit for
-bit takes no transform: the last result is memoised.
+its n+1 outputs. It keeps no state: every call returns a fresh, writable
+complex128 array.
 
 The transpose of the same transform maps moments M_k = i^k m_k with real m
 onto node weights W, with ``f . W = forward_coefficients(f) . M`` for every
@@ -17,7 +17,7 @@ sample vector f (``_node_weights``). Since m is real, that is a real type-I
 DCT, packed into one complex FFT of length n: half the length of the
 sample-side transform of complex samples. W depends on the moments, not on
 the samples, so a sweep over omega at one amplitude builds it at every
-omega; it is not memoised.
+omega.
 
 Where the largest prime factor p of n has p < n and p*p > n, pocketfft
 weighs a Bluestein convolution of length >= 2n for the whole transform,
@@ -35,29 +35,14 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "SpectralCoefficients",
     "gauss_lobatto_nodes",
     "forward_coefficients",
     "endpoint_values",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralCoefficients:
-    """Chebyshev coefficients c_0..c_n of a degree-n series."""
-
-    c: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.c) < 1:
-            raise ValueError("empty coefficient vector")
-        if not np.isfinite(self.c).all():
-            raise ValueError("non-finite Chebyshev coefficient")
 
 
 def check_degree(n: int, lowest: int = 1) -> None:
@@ -105,14 +90,6 @@ def _grid(n: int) -> np.ndarray:
     return x.view()
 
 
-# The last transform of float64 or complex128 samples, as (key, coefficients)
-# with key = (dtype, shape, exact sample bytes); one entry, so a sweep over
-# omega at one amplitude and n transforms its samples once. Only those two
-# dtypes are keyed: they are what the solver passes, and their bytes are
-# their values (an object array's bytes are pointers).
-_last_transform = None
-
-
 def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from samples at the nodes of degree len - 1.
 
@@ -126,26 +103,14 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
     other dtype are first cast to float64, or to complex128 if complex, so
     the coefficients are always complex128 and in double precision.
 
-    The coefficients of the last samples are memoised, keyed on their
-    (cast) dtype, shape and exact bytes (held in a
-    private copy, so mutating the samples later cannot cause a false
-    hit). A repeat of bitwise-equal samples returns the same
-    coefficients without a transform; -0.0 and 0.0, or real and complex
-    samples of equal value, are different keys. The returned array is
-    read-only, on a miss as on a hit: it is a view of a read-only array,
-    so its flag cannot be flipped back. Copy it to modify it. Fewer than
-    two samples raise ``ValueError``.
+    Every call transforms: the result is a fresh array the caller owns.
+    Fewer than two samples raise ``ValueError``.
     """
-    global _last_transform
     f_values = np.asarray(f_values)
     n = len(f_values) - 1
     check_degree(n)
     if f_values.dtype.char not in "dD":  # float64 or complex128, either byte order
         f_values = f_values.astype(complex if np.iscomplexobj(f_values) else float)
-    key = (f_values.dtype, f_values.shape, f_values.tobytes())
-    last = _last_transform
-    if last is not None and last[0] == key:
-        return last[1]
     extension = np.concatenate((f_values, f_values[n - 1 : 0 : -1]))
     if np.iscomplexobj(f_values):
         raw = np.fft.fft(extension)[: n + 1]
@@ -155,9 +120,6 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
     c = raw / n
     c[0] /= 2.0
     c[n] /= 2.0
-    c.flags.writeable = False
-    c = c.view()
-    _last_transform = (key, c)
     return c
 
 
@@ -264,9 +226,8 @@ def _fft(z: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.fft.fft(columns, axis=1).T.ravel()
 
 
-def endpoint_values(coeffs: SpectralCoefficients) -> tuple[complex, complex]:
-    """Values (p(1), p(-1)) of the series with the given coefficients."""
-    c = coeffs.c
+def endpoint_values(c: np.ndarray) -> tuple[complex, complex]:
+    """Values (p(1), p(-1)) of the series with coefficients ``c``."""
     p_plus = complex(c.sum())
     p_minus = complex(c[::2].sum() - c[1::2].sum())
     return p_plus, p_minus

@@ -8,8 +8,9 @@ interpolant f_n against the moments of exp(i*omega*x)
 omega-independent row sequences are read from a module-level table
 (:func:`_moment_rows`). Discrete orthogonality lets that sum run from
 either side. Below degree ``_NODE_WEIGHTS_FROM_N`` the transform acts on the
-samples, one memoised FFT of length 2n (real for real samples), so a sweep
-over omega at one amplitude transforms once. From there on it acts on the
+samples, one FFT of length 2n (real for real samples) whose coefficients the
+kernel memoises for the last samples (``_last_transform``), so a sweep over
+omega at one amplitude transforms once. From there on it acts on the
 real moments: node weights W = (1/n) diag(h) DCT-I(M), one complex FFT of
 length n (:func:`oscint.chebyshev._node_weights`), and the value is
 ``samples . W``.
@@ -54,6 +55,15 @@ Amplitude = Callable[[np.ndarray], np.ndarray]
 _NODE_WEIGHTS_FROM_N = 1024
 
 _NAN = float("nan")  # the residual of a call that solves no system in c
+
+# The c . M route's last transform, as (key, coefficients) with key = (dtype,
+# exact sample bytes); one entry, so a sweep over omega at one amplitude and n
+# transforms its samples once. Samples are float64 or complex128, whose bytes
+# are their values: -0.0 and 0.0, or real and complex samples of equal value,
+# are different keys. The key is taken after sampling, so an integral nested
+# in the amplitude cannot replace the entry under the outer call. The
+# coefficients are only read, and never leave integrate_on_interval.
+_last_transform = None
 
 
 class SingularMatrixError(ValueError):
@@ -277,8 +287,9 @@ def integrate_on_interval(
     on the n+1 Gauss-Lobatto nodes against the moments of T_k: the Levin
     value, which is the Filon-Clenshaw-Curtis rule of Dominguez, Graham &
     Smyshlyaev (IMA J. Numer. Anal. 31(4), 2011). Below degree
-    ``_NODE_WEIGHTS_FROM_N`` it is summed that way, through the memoised
-    :func:`forward_coefficients`; from there on it is summed as
+    ``_NODE_WEIGHTS_FROM_N`` it is summed that way, through
+    :func:`forward_coefficients` of the samples unless they repeat the last
+    samples of that route bit for bit; from there on it is summed as
     ``samples . W(w, n)`` with the node weights of
     :func:`oscint.chebyshev._node_weights`, whose one transform, a complex
     FFT of length n, acts on the real moments. The path
@@ -293,6 +304,7 @@ def integrate_on_interval(
     ``omega``, ``a`` and ``b`` are converted to Python floats, so that
     float32 inputs are computed in double precision.
     """
+    global _last_transform
     # numpy >= 2 keeps float32 * float in float32 (NEP 50)
     omega, a, b = float(omega), float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -314,7 +326,11 @@ def integrate_on_interval(
     x = nodes if half == 1.0 and mid == 0.0 else half * nodes + mid
     samples = _sample_amplitude(amplitude, x)
     if n < _NODE_WEIGHTS_FROM_N:
-        value = forward_coefficients(samples) @ _chebyshev_moments(omega_eff, n)
+        key = (samples.dtype, samples.tobytes())
+        last = _last_transform
+        if last is None or last[0] != key:
+            last = _last_transform = (key, forward_coefficients(samples))
+        value = last[1] @ _chebyshev_moments(omega_eff, n)
     else:
         value = samples @ _node_weights(_real_moments(omega_eff, n), nodes)
     # at mid = 0, half times the phase factor is exactly half + 0j, and numpy

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chebyshev import SpectralCoefficients, gauss_lobatto_nodes
+from .chebyshev import gauss_lobatto_nodes
 from .levin import IntegralProblem
 from .moments import _sample_amplitude
 
@@ -100,8 +100,8 @@ def spectral_diff_matrix(n: int) -> np.ndarray:
     return B
 
 
-def dense_collocation_solve(problem: IntegralProblem) -> SpectralCoefficients:
-    """Solve the full dense collocation system T (B + i*omega*E) c = f.
+def dense_collocation_solve(problem: IntegralProblem) -> np.ndarray:
+    """Coefficients c solving the dense collocation system T (B + i*omega*E) c = f.
 
     Independent of the banded pipeline: the matrix is formed explicitly
     and handed to a dense pivoted LU.
@@ -114,7 +114,7 @@ def dense_collocation_solve(problem: IntegralProblem) -> SpectralCoefficients:
     B = spectral_diff_matrix(n)
     A = T @ (B + 1j * problem.omega * np.eye(n + 1))
     f = _sample_amplitude(problem.amplitude, nodes)
-    return SpectralCoefficients(c=np.linalg.solve(A, f))
+    return np.linalg.solve(A, f)
 
 
 @lru_cache(maxsize=8)
@@ -161,16 +161,19 @@ def oscillatory_reference_quadrature(
     The initial panel width is at most pi/(4|omega|) so every panel
     resolves the oscillation; panel count doubles until two successive
     refinements agree within ``tol``. Raises ``ValueError`` naming the
-    argument when ``a``, ``b``, ``omega`` or ``tol`` is not finite.
+    argument when ``a``, ``b``, ``omega`` or ``tol`` is not finite, or the
+    interval when its width ``b - a`` overflows.
     """
     for name, value in (("a", a), ("b", b), ("omega", omega), ("tol", tol)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     if not a < b:
         raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
+    width = float(b) - float(a)  # a numpy scalar difference would warn on overflow
+    if not math.isfinite(width):
+        raise ValueError(f"invalid interval: b - a overflows, got [{a}, {b}]")
     if tol < 1e-14:
         raise ValueError("tolerance below 1e-14 is not attainable in doubles")
-    width = b - a
     panels = max(4, int(np.ceil(width * 4 * abs(omega) / np.pi)))
     previous = None
     value = complex("nan")

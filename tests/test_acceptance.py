@@ -193,8 +193,8 @@ def test_criterion_07_dense_banded_equivalence(report):
                 coeffs = rng.standard_normal(n // 2 + 1)
                 amp = lambda x: npcheb.chebval(x, coeffs)
                 problem = IntegralProblem(amp, omega, n)
-                c_banded = solve_coefficients(problem)[0].c
-                c_dense = dense_collocation_solve(problem).c
+                c_banded = solve_coefficients(problem)[0]
+                c_dense = dense_collocation_solve(problem)
                 scale = np.max(np.abs(c_dense))
                 if kappa < 1e7:
                     gap = np.max(np.abs(c_banded - c_dense)) / scale
@@ -251,8 +251,10 @@ def test_criterion_10_linear_complexity_and_wall_time(report):
     f = lambda x: 1.0 / (x + 2.0)
     # The normal path runs in LAPACK, where operations cannot be counted:
     # O(n) is gated on measured time per unknown (a quadratic solve reads 16x).
-    # The amplitude's sign alternates so that no run repeats the previous
-    # run's samples: each pays for its own transform instead of a memo hit.
+    # integrate_standard keeps no transform memo, so each run pays for its
+    # own transform. The amplitude's sign still alternates, so that no run
+    # repeats the previous run's samples and a cache in front of the
+    # transform could not shorten the time measured.
     per_unknown = {}
     for n in (4096, 65536):
         times = []
@@ -270,7 +272,7 @@ def test_criterion_10_linear_complexity_and_wall_time(report):
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed <= 1.0 and result.path is SolvePath.NORMAL_EQUATIONS
     details.append(f"n=100000 normal wall {elapsed:.3f} s")
-    # negated: the normal run above left f's samples at this n in the memo
+    # negated, as above: this run does not repeat the normal run's samples
     problem = IntegralProblem(lambda x: -f(x), 1e6, 100000)
     t0 = time.perf_counter()
     integrate_standard(problem)

@@ -45,7 +45,6 @@ INTERNAL = {
     "forward_coefficients": "oscint.chebyshev",
     "endpoint_values": "oscint.chebyshev",
     "gauss_lobatto_nodes": "oscint.chebyshev",
-    "SpectralCoefficients": "oscint.chebyshev",
     "numeric_inverse": "oscint.phase",
     "dense_collocation_solve": "oscint.oracle",
 }

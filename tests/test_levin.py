@@ -43,12 +43,13 @@ def count_transforms(monkeypatch):
     """Count the ``numpy.fft`` calls that ``oscint.chebyshev`` makes.
 
     ``rfft`` transforms real samples; ``fft`` transforms complex samples and
-    the node weights. The memoised last transform is forgotten first, so
-    that the count does not depend on what an earlier test transformed.
+    the node weights. The kernel's memoised last transform is forgotten
+    first, so that the count does not depend on what an earlier test
+    transformed.
     """
-    import oscint.chebyshev as chebyshev_mod
+    import oscint.moments as moments_mod
 
-    monkeypatch.setattr(chebyshev_mod, "_last_transform", None)
+    monkeypatch.setattr(moments_mod, "_last_transform", None)
     calls = {"rfft": 0, "fft": 0}
 
     def counted(name):
@@ -63,6 +64,11 @@ def count_transforms(monkeypatch):
     for name in calls:
         counted(name)
     return calls
+
+
+def bits(z):
+    """The exact bytes of a complex value, so that -0.0 and 0.0 differ."""
+    return np.complex128(z).tobytes()
 
 
 def band_compressor(n):
@@ -177,7 +183,7 @@ class TestSolveCoefficients:
             lambda x: 1j * omega * np.ones_like(x), omega, 4
         )
         coeffs, _, residual = solve_coefficients(problem)
-        np.testing.assert_allclose(coeffs.c, [1, 0, 0, 0, 0], atol=1e-13)
+        np.testing.assert_allclose(coeffs, [1, 0, 0, 0, 0], atol=1e-13)
         assert residual < 1e-12 * abs(omega)
 
     def test_paths_agree_when_both_valid(self):
@@ -186,7 +192,7 @@ class TestSolveCoefficients:
         c_normal, path_n, _ = solve_coefficients(problem, SolvePath.NORMAL_EQUATIONS)
         assert path_d is SolvePath.DIRECT_TRIANGULAR
         assert path_n is SolvePath.NORMAL_EQUATIONS
-        np.testing.assert_allclose(c_direct.c, c_normal.c, atol=1e-10)
+        np.testing.assert_allclose(c_direct, c_normal, atol=1e-10)
 
     def test_path_selection_threshold(self):
         f = lambda x: 1.0 / (x + 2)
@@ -203,8 +209,8 @@ class TestSolveCoefficients:
         problem = IntegralProblem(amp, 12.0, n)
         c_banded, path, _ = solve_coefficients(problem)
         assert path is SolvePath.NORMAL_EQUATIONS
-        c_dense = dense_collocation_solve(problem).c
-        np.testing.assert_allclose(c_banded.c, c_dense, atol=1e-9)
+        c_dense = dense_collocation_solve(problem)
+        np.testing.assert_allclose(c_banded, c_dense, atol=1e-9)
 
     def test_normal_regime_integral_accuracy_when_ill_conditioned(self):
         # at omega << n the coefficient map is too ill conditioned for
@@ -315,7 +321,7 @@ class TestIntegrateStandard:
         norms = {}
         for omega in (100.0, 1000.0):
             coeffs, _, _ = solve_coefficients(IntegralProblem(f, omega, 30))
-            norms[omega] = np.max(np.abs(coeffs.c))
+            norms[omega] = np.max(np.abs(coeffs))
         assert norms[1000.0] <= norms[100.0]
 
 
@@ -895,6 +901,12 @@ class TestTransformMemo:
             assert abs(result.value - 2 * np.sinh(z) / z) <= 1e-14
         assert calls == {"rfft": 1, "fft": 1}
 
+    @staticmethod
+    def _integrate_samples(samples, omega=3.0):
+        """integrate_on_interval of an amplitude whose samples are ``samples``."""
+        n = len(samples) - 1
+        return integrate_on_interval(lambda x: samples, omega, -1.0, 1.0, n)
+
     def test_keys_are_exact_bytes_and_dtype(self, monkeypatch):
         f = np.array([1.0, 0.0, 2.0, 0.5, 3.0, 4.0])
         negative_zero = f.copy()
@@ -909,25 +921,45 @@ class TestTransformMemo:
             f,
         ]
         calls = count_transforms(monkeypatch)
-        got = [forward_coefficients(samples) for samples in sequence]
+        got = [self._integrate_samples(samples).value for samples in sequence]
         assert calls == {"rfft": 3, "fft": 2}
         # every result, hit or miss, is bit-identical to a transform from scratch
-        for samples, c in zip(sequence, got):
-            monkeypatch.setattr("oscint.chebyshev._last_transform", None)
-            fresh = forward_coefficients(samples)
-            assert c.tobytes() == fresh.tobytes()
+        for samples, value in zip(sequence, got):
+            monkeypatch.setattr("oscint.moments._last_transform", None)
+            fresh = self._integrate_samples(samples).value
+            assert bits(value) == bits(fresh)
 
     def test_samples_mutated_after_the_call_are_a_miss(self, monkeypatch):
         f = np.linspace(-1.0, 2.0, 7)
         calls = count_transforms(monkeypatch)
-        before = forward_coefficients(f).copy()
+        before = self._integrate_samples(f).value
         f[3] += 1.0
-        after = forward_coefficients(f)
+        after = self._integrate_samples(f).value
         assert calls == {"rfft": 2, "fft": 0}
-        assert not np.array_equal(before, after)
-        np.testing.assert_allclose(
-            npcheb.chebval(gauss_lobatto_nodes(6), after), f, rtol=0, atol=1e-14
-        )
+        assert after != before
+        expected = forward_coefficients(f) @ _chebyshev_moments(3.0, 6)
+        assert bits(after) == bits(expected)
+
+    def test_written_coefficients_leave_the_memo_alone(self, monkeypatch):
+        f = np.exp(self.ALPHA * gauss_lobatto_nodes(40))
+        calls = count_transforms(monkeypatch)
+        first = self._integrate_samples(f, 7.0).value
+        c = forward_coefficients(f)
+        c[:] = np.nan
+        assert bits(self._integrate_samples(f, 7.0).value) == bits(first)
+        assert calls == {"rfft": 0, "fft": 2}  # the integral's transform and c's
+
+    def test_reference_solver_transforms_on_every_call(self, monkeypatch):
+        f = lambda x: np.exp(self.ALPHA * x)
+        calls = count_transforms(monkeypatch)
+        swept = integrate_on_interval(f, 7.0, -1.0, 1.0, 40).value
+        problem = IntegralProblem(f, 7.0, 40)
+        values = {bits(integrate_standard(problem).value) for _ in range(3)}
+        assert len(values) == 1
+        assert calls == {"rfft": 0, "fft": 4}
+        # the reference solver's transforms leave the kernel's memo in place
+        assert bits(integrate_on_interval(f, 7.0, -1.0, 1.0, 40).value) == bits(swept)
+        assert calls == {"rfft": 0, "fft": 4}
 
     def test_nested_integral_in_the_amplitude(self, monkeypatch):
         calls = count_transforms(monkeypatch)
@@ -973,6 +1005,21 @@ def test_non_finite_omega_rejected(omega):
     with pytest.raises(ValueError, match="omega must be finite") as err:
         IntegralProblem(lambda x: x, omega, 8)
     assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "omega,path",
+    [(100.0, SolvePath.DIRECT_TRIANGULAR), (10.0, SolvePath.NORMAL_EQUATIONS)],
+)
+def test_float32_omega_is_computed_in_double(omega, path):
+    # numpy >= 2 would form exp(1j*w) of a float32 w in complex64 (NEP 50)
+    f = lambda x: 1 / (x + 2)
+    narrow = IntegralProblem(f, np.float32(omega), 64)
+    assert type(narrow.omega) is float
+    got = integrate_standard(narrow)
+    expected = integrate_standard(IntegralProblem(f, omega, 64))
+    assert got.path is expected.path is path
+    assert bits(got.value) == bits(expected.value)
 
 
 def test_non_integer_degree_rejected():

@@ -16,7 +16,7 @@ class TestDenseCollocationSolve:
     def test_constant_antiderivative(self):
         c = dense_collocation_solve(
             IntegralProblem(lambda x: 5j * np.ones_like(x), 5.0, 6)
-        ).c
+        )
         np.testing.assert_allclose(c, [1, 0, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_degree_cap(self):
@@ -29,7 +29,7 @@ class TestDenseCollocationSolve:
 
         omega, n = 7.0, 24
         f = lambda x: np.exp(x) / (x + 3)
-        c = dense_collocation_solve(IntegralProblem(f, omega, n)).c
+        c = dense_collocation_solve(IntegralProblem(f, omega, n))
         x = np.cos(np.pi * np.arange(n + 1) / n)
         lhs = npcheb.chebval(x, npcheb.chebder(c)) + 1j * omega * npcheb.chebval(x, c)
         np.testing.assert_allclose(lhs, f(x), atol=1e-11)
@@ -42,7 +42,7 @@ class TestDenseCollocationSolve:
         assert err.value.node == 0.0
 
     def test_scalar_amplitude_broadcasts(self):
-        c = dense_collocation_solve(IntegralProblem(lambda x: 5j, 5.0, 6)).c
+        c = dense_collocation_solve(IntegralProblem(lambda x: 5j, 5.0, 6))
         np.testing.assert_allclose(c, [1, 0, 0, 0, 0, 0, 0], atol=1e-12)
 
 
@@ -77,6 +77,22 @@ class TestReferenceQuadrature:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             oscillatory_reference_quadrature(lambda x: x, 1.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    @pytest.mark.parametrize("omega", [5.0, 0.0])
+    def test_overflowing_width_is_an_invalid_interval(self, omega, scalar):
+        # b - a = inf: the panel count would be int(inf), or int(nan) at omega = 0
+        sampled = []
+
+        def f(x):
+            sampled.append(x)
+            return np.ones_like(x)
+
+        message = "^invalid interval: b - a overflows"
+        with pytest.raises(ValueError, match=message) as err:
+            oscillatory_reference_quadrature(f, omega, scalar(-1e308), scalar(1e308))
+        assert type(err.value) is ValueError
+        assert not sampled
 
     @pytest.mark.parametrize(
         "a,b,omega,name",
