@@ -2,18 +2,20 @@
 
 :func:`oscint.levin.integrate_standard` builds the upper-banded matrix G
 (kl = 0, ku = 2) and, on its normal-equations path, the Hermitian matrix
-H = G^H G (kl = ku = 2). Each is stored once, in LAPACK general band
-storage, and that array goes to LAPACK without rearranging its bands: G to
-``ztbtrs`` for the triangular back-substitution (kl = 0 is exactly its
-upper band storage), H to ``zgbtrf`` for the pivoted band LU, solved by
-``zgbtrs``. The array is Fortran-ordered, the layout LAPACK reads, so
+H = G^H G (kl = ku = 2). Both have one band layout, the one BLAS ``zgbmv``
+and :func:`scipy.linalg.solve_banded` read: entry (i, j) at
+``ab[ku + i - j, j]``. ``zgbmv`` multiplies by M and M^H; G goes to
+``ztbtrs`` for the triangular back-substitution as it stands (for kl = 0
+this is its upper band storage), and the pivoted band LU of H (``zgbtrf``,
+solved by ``zgbtrs``) adds the kl fill rows that ``zgbtrf`` needs to its own
+copy. The array is Fortran-ordered, the layout BLAS and LAPACK read, so
 scipy's f2py wrappers take it without a transposed copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .moments import SingularMatrixError
 
@@ -34,44 +36,30 @@ PIVOT_TOL = 1e-300
 class BandedComplexMatrix:
     """Square complex matrix with lower/upper bandwidths (kl, ku).
 
-    ``ab`` is LAPACK general band storage, shape (2*kl + ku + 1, dim):
-    entry (i, j) sits at ``ab[kl + ku + i - j, j]``, so row kl + ku - k
-    holds band k aligned by column. The top kl rows stay zero; they
-    are the room ``zgbtrf`` needs for its fill-in.
+    ``ab`` is band storage, shape (kl + ku + 1, dim): entry (i, j) sits at
+    ``ab[ku + i - j, j]``, so row ku - k holds band k aligned by column.
     """
 
     def __init__(self, dim: int, kl: int, ku: int):
         self.dim = dim
         self.kl = kl
         self.ku = ku
-        self.ab = np.zeros((2 * kl + ku + 1, dim), dtype=complex, order="F")
-        # (k, lo, hi) per band k: columns lo <= j < hi hold entry (j - k, j)
-        self._columns = [(k, max(k, 0), dim + min(k, 0)) for k in range(-kl, ku + 1)]
+        self.ab = np.zeros((kl + ku + 1, dim), dtype=complex, order="F")
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """The product M x."""
-        x = np.asarray(x, dtype=complex)
-        y = np.zeros(self.dim, dtype=complex)
-        top = self.kl + self.ku
-        for k, lo, hi in self._columns:
-            y[lo - k : hi - k] += self.ab[top - k, lo:hi] * x[lo:hi]
-        return y
+        return blas.zgbmv(self.dim, self.dim, self.kl, self.ku, 1, self.ab, x)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """The product M^H x."""
-        x = np.asarray(x, dtype=complex)
-        y = np.zeros(self.dim, dtype=complex)
-        top = self.kl + self.ku
-        for k, lo, hi in self._columns:
-            y[lo:hi] += np.conj(self.ab[top - k, lo:hi]) * x[lo - k : hi - k]
-        return y
+        return blas.zgbmv(self.dim, self.dim, self.kl, self.ku, 1, self.ab, x, trans=2)
 
     def to_dense(self) -> np.ndarray:
         M = np.zeros((self.dim, self.dim), dtype=complex)
-        top = self.kl + self.ku
-        for k, lo, hi in self._columns:
-            j = np.arange(lo, hi)
-            M[j - k, j] = self.ab[top - k, lo:hi]
+        r, j = np.indices(self.ab.shape)
+        i = j + r - self.ku
+        inside = (0 <= i) & (i < self.dim)
+        M[i[inside], j[inside]] = self.ab[inside]
         return M
 
 
@@ -94,14 +82,17 @@ def upper_triangular_backsolve(G: BandedComplexMatrix, rhs: np.ndarray) -> np.nd
 def banded_lu_partial_pivot(H: BandedComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
     """LU factorization of H (kl = ku = 2) with partial (row) pivoting.
 
-    Returns LAPACK ``zgbtrf``'s ``(rows, pivots)``: ``rows`` is general band
-    storage holding U in its first kl + ku + 1 rows, whose fill-in stays
-    within kl + ku superdiagonals, and the L multipliers below; ``pivots``
-    is ``ipiv`` as scipy returns it, 0-based. Row interchanges are limited
-    to the kl rows below the diagonal, so the factorization (which does not
-    overwrite ``H.ab``) costs O((kl + ku)^2 dim).
+    Returns LAPACK ``zgbtrf``'s ``(rows, pivots)``: ``rows`` is ``H.ab``
+    below kl zero rows, the room for U's fill-in, factored in place: U in
+    its first kl + ku + 1 rows, whose fill-in stays within kl + ku
+    superdiagonals, and the L multipliers below; ``pivots`` is ``ipiv`` as
+    scipy returns it, 0-based. Row interchanges are limited to the kl rows
+    below the diagonal, so the factorization (which leaves ``H.ab`` as it
+    is) costs O((kl + ku)^2 dim).
     """
-    rows, pivots, info = lapack.zgbtrf(H.ab, 2, 2)
+    rows = np.zeros((7, H.dim), dtype=complex, order="F")
+    rows[2:] = H.ab
+    rows, pivots, info = lapack.zgbtrf(rows, 2, 2, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"zgbtrf failed with info = {info}")
     small = np.abs(rows[4]) < PIVOT_TOL  # U's diagonal: row kl + ku
@@ -138,15 +129,14 @@ def normal_system(
     h0[1:] += np.abs(s1) ** 2
     h0[2:] += np.abs(s2) ** 2
 
-    # bands k = 2, 1, 0, -1, -2 of H are rows 2..6 of its band storage;
-    # rows 0 and 1 stay zero for zgbtrf's fill-in
+    # bands k = 2, 1, 0, -1, -2 of H are rows 0..4 of its band storage
     H = BandedComplexMatrix(G.dim, kl=2, ku=2)
     ab = H.ab
-    h1 = ab[3, 1:]
+    h1 = ab[1, 1:]
     np.multiply(np.conj(d[:-1]), s1, out=h1)
     h1[1:] += np.conj(s1[:-1]) * s2
-    np.multiply(np.conj(d[:-2]), s2, out=ab[2, 2:])
-    ab[4] = h0
-    np.conj(h1, out=ab[5, :-1])
-    np.conj(ab[2, 2:], out=ab[6, :-2])
+    np.multiply(np.conj(d[:-2]), s2, out=ab[0, 2:])
+    ab[2] = h0
+    np.conj(h1, out=ab[3, :-1])
+    np.conj(ab[0, 2:], out=ab[4, :-2])
     return H, y

@@ -129,11 +129,13 @@ class _MomentRows(NamedTuple):
     """The omega-independent sequences of the moment rows k = 1..N.
 
     ``band`` holds the tridiagonal rows before their off-diagonals are
-    scaled by -w, in LAPACK general band storage: column k holds row k - 1's
-    m_k term, row k's diagonal and row k + 1's m_k term. Both routes slice
-    it. The forward route's lower band for ``dtbtrs`` is columns 2..N as they
-    stand; LAPACK never reads ``ab[1, -1]`` or ``ab[2, -2:]`` of a band, so
-    a prefix of a longer table solves as the band built for its own N does.
+    scaled by -w, in the package's one band layout, entry (i, j) at
+    ``ab[ku + i - j, j]`` with kl = ku = 1 (:mod:`oscint.banded`): column k
+    holds row k - 1's m_k term, row k's diagonal and row k + 1's m_k term.
+    Both routes slice it. The forward route's lower band for ``dtbtrs`` is
+    columns 2..N as they stand; LAPACK never reads ``ab[1, -1]`` or
+    ``ab[2, -2:]`` of a band, so a prefix of a longer table solves as the
+    band built for its own N does.
     ``gather`` indexes a call's eight head and period-4 values (k for k < 4,
     then 4 + k % 4) and ``i_pow`` is i^k.
     """

@@ -161,8 +161,9 @@ def oscillatory_reference_quadrature(
     The initial panel width is at most pi/(4|omega|) so every panel
     resolves the oscillation; panel count doubles until two successive
     refinements agree within ``tol``. Raises ``ValueError`` naming the
-    argument when ``a``, ``b``, ``omega`` or ``tol`` is not finite, or the
-    interval when its width ``b - a`` overflows.
+    argument when ``a``, ``b``, ``omega`` or ``tol`` is not finite, the
+    interval when its width ``b - a`` overflows, or the panel count when the
+    first pass would already need more than the budget of 2^20 panels.
     """
     for name, value in (("a", a), ("b", b), ("omega", omega), ("tol", tol)):
         if not math.isfinite(value):
@@ -174,9 +175,14 @@ def oscillatory_reference_quadrature(
         raise ValueError(f"invalid interval: b - a overflows, got [{a}, {b}]")
     if tol < 1e-14:
         raise ValueError("tolerance below 1e-14 is not attainable in doubles")
-    panels = max(4, int(np.ceil(width * 4 * abs(omega) / np.pi)))
+    need = width * 4 * abs(float(omega)) / math.pi
+    if need > _MAX_PANELS:
+        raise ValueError(
+            f"the interval needs {need:.3g} panels at omega = {omega}, "
+            f"more than the budget of {_MAX_PANELS}"
+        )
+    panels = max(4, math.ceil(need))
     previous = None
-    value = complex("nan")
     last_diff = float("inf")
     while panels <= _MAX_PANELS:
         value = _panel_sum(amplitude, omega, a, b, panels)
@@ -241,6 +247,8 @@ def _example2_amplitude(_alpha):
 
 def _example3_exact(omega, alpha):
     z = alpha + 1j * omega
+    if z == 0:
+        return 2 + 0j  # the limit of sinh(z)/z is 1
     return complex(2.0 * np.exp(-alpha) * np.sinh(z) / z)
 
 

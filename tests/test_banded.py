@@ -25,7 +25,7 @@ def from_dense(A, kl, ku):
     M = BandedComplexMatrix(dim, kl, ku)
     i, j = np.indices((dim, dim))
     inside = (j - i <= ku) & (i - j <= kl)
-    M.ab[(kl + ku + i - j)[inside], j[inside]] = np.asarray(A, dtype=complex)[inside]
+    M.ab[(ku + i - j)[inside], j[inside]] = np.asarray(A, dtype=complex)[inside]
     return M
 
 
@@ -47,16 +47,17 @@ def random_shape(rng, seed):
 class TestStorage:
     @pytest.mark.parametrize("seed", range(8))
     def test_layout_matches_solve_banded(self, seed):
-        # oracle: scipy's banded solver reads the lower kl + ku + 1 rows
-        # of ab as its own (kl, ku) storage
+        # oracle: scipy's banded solver reads ab unchanged as its own
+        # (kl, ku) storage
         rng = np.random.default_rng(seed)
         dim, kl, ku = random_shape(rng, seed)
         M = random_banded(rng, dim, kl, ku, diag_boost=3.0)
-        assert M.ab.shape == (2 * kl + ku + 1, dim)
-        assert not M.ab[:kl].any()
+        assert M.ab.shape == (kl + ku + 1, dim)
+        r, j = np.indices(M.ab.shape)
+        assert not M.ab[(j + r - ku < 0) | (j + r - ku >= dim)].any()
         b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         np.testing.assert_allclose(
-            solve_banded((kl, ku), M.ab[kl:], b),
+            solve_banded((kl, ku), M.ab, b),
             np.linalg.solve(M.to_dense(), b),
             rtol=1e-12,
             atol=1e-12,
@@ -179,6 +180,15 @@ class TestBandedLU:
             again = lu_solve(banded_lu_partial_pivot(M), rhs)
             np.testing.assert_array_equal(lu_solve(factors, rhs), again)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_factorization_leaves_matrix_unchanged(self, seed):
+        # zgbtrf factors a padded copy in place, never H.ab itself
+        rng = np.random.default_rng(300 + seed)
+        M = random_banded(rng, int(rng.integers(3, 20)), *H_SHAPE, diag_boost=2.0)
+        before = M.ab.copy()
+        banded_lu_partial_pivot(M)
+        assert M.ab.tobytes() == before.tobytes()
+
     def test_exactly_singular_reports_column(self):
         M = from_dense(np.diag([1, 0, 1]), *H_SHAPE)
         with pytest.raises(SingularMatrixError) as err:
@@ -187,6 +197,17 @@ class TestBandedLU:
 
 
 class TestNormalSystem:
+    @pytest.mark.parametrize("omega, n", [(4.0, 8), (0.5, 40), (30.0, 200)])
+    def test_solve_banded_reads_H_as_stored(self, omega, n):
+        G = assemble_G(omega=omega, n=n)
+        rng = np.random.default_rng(n)
+        rhs = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        H, y = normal_system(G, rhs)
+        via_lu = lu_solve(banded_lu_partial_pivot(H), y)
+        np.testing.assert_allclose(
+            solve_banded(H_SHAPE, H.ab, y), via_lu, rtol=1e-12, atol=0
+        )
+
     def test_identity(self):
         G = from_dense(np.eye(4), *G_SHAPE)
         rhs = np.array([1j, 2.0, 3.0, 4.0])
@@ -220,24 +241,23 @@ class TestNormalSystem:
         H, _ = normal_system(G, np.zeros(10))
         Hd = H.to_dense()
         np.testing.assert_allclose(Hd, Hd.conj().T, atol=1e-13)
-        assert np.all(H.ab[4].real >= 0)  # the diagonal
-        assert np.all(np.abs(H.ab[4].imag) == 0)
+        assert np.all(H.ab[2].real >= 0)  # the diagonal
+        assert np.all(np.abs(H.ab[2].imag) == 0)
         assert np.min(np.linalg.eigvalsh(Hd)) > -1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_unused_storage_stays_zero(self, seed):
-        # zgbtrf reads the top kl rows as fill-in room; to_dense cannot see them
+        # entries outside the matrix; to_dense cannot see them
         rng = np.random.default_rng(200 + seed)
         dim = int(rng.integers(3, 12))
         G = random_banded(rng, dim, *G_SHAPE)
         H, _ = normal_system(G, rng.standard_normal(dim) + 0j)
         ab = H.ab
-        assert ab.shape == (7, dim)
-        assert np.all(ab[:2] == 0)
-        assert np.all(ab[2, :2] == 0)  # band 2 starts at column 2
-        assert ab[3, 0] == 0  # band 1 starts at column 1
-        assert ab[5, -1] == 0  # band -1 ends one column early
-        assert np.all(ab[6, -2:] == 0)  # band -2 ends two columns early
+        assert ab.shape == (5, dim)
+        assert np.all(ab[0, :2] == 0)  # band 2 starts at column 2
+        assert ab[1, 0] == 0  # band 1 starts at column 1
+        assert ab[3, -1] == 0  # band -1 ends one column early
+        assert np.all(ab[4, -2:] == 0)  # band -2 ends two columns early
         Gd = G.to_dense()
         np.testing.assert_allclose(H.to_dense(), Gd.conj().T @ Gd, atol=1e-12)
 

@@ -246,6 +246,22 @@ class TestExample:
         err_line = [l for l in out.splitlines() if l.startswith("abs_error")][0]
         assert float(err_line.split("=")[1]) < 1e-12
 
+    def test_closed_form_at_zero_frequency_and_alpha(self, capsys):
+        code, out, _ = run(
+            capsys, "example", "3", "--omega", "0", "--alpha", "0", "--n", "8"
+        )
+        assert code == 0
+        exact_line = [l for l in out.splitlines() if l.startswith("exact")][0]
+        assert [float(v) for v in exact_line.split("=")[1].split()] == [2.0, 0.0]
+        err_line = [l for l in out.splitlines() if l.startswith("abs_error")][0]
+        assert float(err_line.split("=")[1]) < 1e-14
+        code, out, _ = run(
+            capsys, "converge", "--example", "3", "--omega", "0", "--alpha", "0",
+            "--n-min", "4", "--n-max", "8", "--n-step", "4",
+        )
+        assert code == 0
+        assert all(float(row.split(",")[1]) < 1e-14 for row in out.splitlines()[1:])
+
     def test_untabulated_entry(self, capsys):
         code, out, _ = run(capsys, "example", "5", "--omega", "17", "--n", "64")
         assert code == 0
@@ -391,6 +407,17 @@ class TestNonFiniteAmplitude:
         assert code == 3
         assert out == ""
         assert "amplitude is not finite at node" in err
+
+    def test_reference_quadrature_over_budget_is_solver_error(self, capsys):
+        # 4|omega|(b - a)/pi = 2.5e6 first-pass panels, over the 2^20 budget
+        code, out, err = run(
+            capsys,
+            "converge", "--amplitude", "1", "--omega", "1e6",
+            "--n-min", "4", "--n-max", "4",
+        )
+        assert code == 3
+        assert out == ""
+        assert "needs 2.55e+06 panels" in err
 
     def test_solver_samples_are_solver_error(self, capsys):
         code, out, err = run(

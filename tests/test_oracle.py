@@ -132,6 +132,20 @@ class TestReferenceQuadrature:
                 oscillatory_reference_quadrature(amplitude, 1.0, -1.0, 1.0, tol=tol)
         assert not sampled
 
+    def test_first_pass_over_budget_rejected_before_sampling(self):
+        # 1.27e9 panels resolve omega = 1e6 on [0, 1e3]: no estimate exists
+        sampled = []
+
+        def amplitude(x):
+            sampled.append(x)
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError, match=r"needs 1\.27e\+09 panels") as err:
+            oscillatory_reference_quadrature(amplitude, 1e6, 0.0, 1e3)
+        assert type(err.value) is ValueError
+        assert "budget of 1048576" in str(err.value)
+        assert not sampled
+
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         # an endpoint singularity defeats panel doubling at this tolerance
         import oscint.oracle as oracle_mod
@@ -204,6 +218,14 @@ class TestExampleCatalog:
         expected = 2 * np.exp(-16.0) * np.sinh(z) / z
         assert abs(spec.exact_value(20.0) - expected) < 1e-16
         assert spec.exact_value(20.0, alpha=16.0) == spec.exact_value(20.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0])
+    def test_exponential_closed_form_at_zero(self, alpha):
+        # z = alpha + i*omega = 0: the integral of exp(0) over [-1, 1]
+        spec = get_example(3)
+        assert spec.exact_value(0.0, alpha) == 2
+        quad = oscillatory_reference_quadrature(spec.amplitude(alpha), 0.0, -1.0, 1.0)
+        assert abs(quad - 2) < 1e-14
 
     def test_alpha_default_and_override(self):
         spec = get_example(6)
