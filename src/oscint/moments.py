@@ -3,17 +3,19 @@
 :func:`integrate_on_interval` solves no Levin system. The collocation
 polynomial solves p' + i*omega*p = f_n exactly, so at every frequency its
 value is ``c . M(omega, n)``: the Chebyshev coefficients of the amplitude's
-interpolant f_n against the moments of exp(i*omega*x)
-(:func:`_chebyshev_moments`), one real LAPACK solve per call whose
-omega-independent row sequences are read from a module-level table
+interpolant f_n against the moments M_k = i^k m_k of exp(i*omega*x), whose
+real parts m_k (:func:`_real_moments`) cost one real LAPACK solve per call
+whose omega-independent row sequences are read from a module-level table
 (:func:`_moment_rows`). Discrete orthogonality lets that sum run from
-either side. Below degree ``_NODE_WEIGHTS_FROM_N`` the transform acts on the
-samples, one FFT of length 2n (real for real samples) whose coefficients the
-kernel memoises for the last samples (``_last_transform``), so a sweep over
-omega at one amplitude transforms once. From there on it acts on the
-real moments: node weights W = (1/n) diag(h) DCT-I(M), one complex FFT of
-length n (:func:`oscint.chebyshev._node_weights`), and the value is
-``samples . W``.
+either side. Below degree ``_NODE_WEIGHTS_FROM_N`` it acts on the
+coefficients, summed as ``(c * i^k) . m``: one FFT of length 2n (real for
+real samples) whose coefficients the kernel memoises, already multiplied by
+i^k, for the last samples (``_last_transform``). A sweep over omega at one
+amplitude therefore transforms, rotates and checks its samples once, and
+each further frequency pays for the sampling, the key and the moment solve.
+From there on it acts on the real moments: node weights
+W = (1/n) diag(h) DCT-I(M), one complex FFT of length n
+(:func:`oscint.chebyshev._node_weights`), and the value is ``samples . W``.
 
 The amplitude sampling contract (:func:`_sample_amplitude`) and the result
 types live here too; the paper's reference solver in :mod:`oscint.levin`
@@ -56,12 +58,17 @@ _NODE_WEIGHTS_FROM_N = 1024
 
 _NAN = float("nan")  # the residual of a call that solves no system in c
 
-# The c . M route's last transform, as (key, coefficients) with key = (dtype,
-# exact sample bytes); one entry, so a sweep over omega at one amplitude and n
+# i^k, k < _NODE_WEIGHTS_FROM_N: only the c . M route rotates coefficients
+_I_POW = np.resize([1, 1j, -1, -1j], _NODE_WEIGHTS_FROM_N)
+_I_POW.flags.writeable = False
+
+# The c . M route's last transform, as (key, c * i^k) with key = (dtype, exact
+# sample bytes); one entry, so a sweep over omega at one amplitude and n
 # transforms its samples once. Samples are float64 or complex128, whose bytes
 # are their values: -0.0 and 0.0, or real and complex samples of equal value,
 # are different keys. The key is taken after sampling, so an integral nested
-# in the amplitude cannot replace the entry under the outer call. The
+# in the amplitude cannot replace the entry under the outer call. Only
+# samples that passed the finiteness check are stored, so a hit skips it. The
 # coefficients are only read, and never leave integrate_on_interval.
 _last_transform = None
 
@@ -101,28 +108,40 @@ class IntegralResult:
 
 
 def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
+    """Amplitude at the nodes, cast (:func:`_cast_samples`) and checked
+    (:func:`_check_finite`): a non-finite sample raises
+    :class:`AmplitudeSamplingError` naming its node.
+    """
+    samples = _cast_samples(amplitude, nodes)
+    _check_finite(samples, nodes)
+    return samples
+
+
+def _cast_samples(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
     """Amplitude at the nodes: float64 if its values are real, else complex128.
 
     Real samples stay real so that :func:`forward_coefficients` takes one
-    real FFT instead of a complex one. A non-finite sample raises
-    :class:`AmplitudeSamplingError` naming its node.
+    real FFT instead of a complex one. Nothing is checked.
+    """
+    fv = np.asarray(amplitude(nodes))
+    dtype = float if fv.dtype.kind in "biuf" else complex
+    if fv.shape != nodes.shape:
+        return np.broadcast_to(fv, nodes.shape).astype(dtype)
+    return fv.astype(dtype, copy=False)
+
+
+def _check_finite(samples: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise :class:`AmplitudeSamplingError` at the first non-finite sample.
 
     The check is one pass, the sum of |f|^2 (``np.vdot``), which is finite
     exactly when every sample is, unless it overflows: only then are the
     samples scanned one by one, so samples of size 1e200 are accepted
     without a warning.
     """
-    fv = np.asarray(amplitude(nodes))
-    dtype = float if fv.dtype.kind in "biuf" else complex
-    if fv.shape != nodes.shape:
-        fv = np.broadcast_to(fv, nodes.shape).astype(dtype)
-    else:
-        fv = fv.astype(dtype, copy=False)
-    if not cmath.isfinite(np.vdot(fv, fv)):
-        bad = ~np.isfinite(fv)
+    if not cmath.isfinite(np.vdot(samples, samples)):
+        bad = ~np.isfinite(samples)
         if bad.any():
             raise AmplitudeSamplingError(float(nodes[int(np.argmax(bad))]))
-    return fv
 
 
 class _MomentRows(NamedTuple):
@@ -137,12 +156,13 @@ class _MomentRows(NamedTuple):
     ``ab[2, -2:]`` of a band, so a prefix of a longer table solves as the
     band built for its own N does.
     ``gather`` indexes a call's eight head and period-4 values (k for k < 4,
-    then 4 + k % 4) and ``i_pow`` is i^k.
+    then 4 + k % 4). The rows are real; the factors i^k that turn m_k into
+    M_k are applied to the coefficients instead, only below degree
+    ``_NODE_WEIGHTS_FROM_N`` (``_I_POW``), so the table does not hold them.
     """
 
     band: np.ndarray  # k - 2, 2(k^2 - 1), k + 2; row 1's entries are 1 and 4
     gather: np.ndarray  # index of moment k's starting value: k, then 4 + k % 4
-    i_pow: np.ndarray  # i^k, k = 0..N
 
 
 def _build_moment_rows(N: int) -> _MomentRows:
@@ -154,8 +174,7 @@ def _build_moment_rows(N: int) -> _MomentRows:
     # the right-hand side -2 B_k / i^k repeats with period 4 from row 2
     gather = np.arange(N + 1)
     gather[4:] = 4 + gather[4:] % 4
-    i_pow = np.resize([1, 1j, -1, -1j], N + 1)
-    rows = _MomentRows(band, gather, i_pow)
+    rows = _MomentRows(band, gather)
     for sequence in rows:
         sequence.flags.writeable = False
     return rows
@@ -182,19 +201,9 @@ def _moment_rows(N: int) -> _MomentRows:
     return rows
 
 
-def _chebyshev_moments(omega: float, n: int) -> np.ndarray:
-    """Moments ``M_k = int_{-1}^{1} T_k(x) exp(i*omega*x) dx``, k = 0..n.
-
-    The complex form of :func:`_real_moments`: M_k = i^k m_k.
-    """
-    m = _real_moments(omega, n)
-    # the table that call read holds at least n + 1 powers, and it is only
-    # ever replaced by a longer one
-    return m * _moment_rows_table.i_pow[: n + 1]
-
-
 def _real_moments(omega: float, n: int) -> np.ndarray:
-    """Real moments ``m_k = M_k / i^k``, k = 0..n, of :func:`_chebyshev_moments`.
+    """Real moments ``m_k = M_k / i^k``, k = 0..n, of the Chebyshev moments
+    ``M_k = int_{-1}^{1} T_k(x) exp(i*omega*x) dx``.
 
     M_0 = 2 sin(w)/w is pinned. Integrating T_1 = T_2'/4 and, for k >= 2,
     T_k = (T_{k+1}'/(k+1) - T_{k-1}'/(k-1))/2 by parts gives the rows
@@ -289,10 +298,12 @@ def integrate_on_interval(
     on the n+1 Gauss-Lobatto nodes against the moments of T_k: the Levin
     value, which is the Filon-Clenshaw-Curtis rule of Dominguez, Graham &
     Smyshlyaev (IMA J. Numer. Anal. 31(4), 2011). Below degree
-    ``_NODE_WEIGHTS_FROM_N`` it is summed that way, through
-    :func:`forward_coefficients` of the samples unless they repeat the last
-    samples of that route bit for bit; from there on it is summed as
-    ``samples . W(w, n)`` with the node weights of
+    ``_NODE_WEIGHTS_FROM_N`` it is summed that way, as ``(c * i^k) . m``
+    with the real moments m, through :func:`forward_coefficients` of the
+    samples unless they repeat the last samples of that route bit for bit,
+    in which case they are neither checked for finiteness nor transformed
+    again (they passed the check when they were stored); from there on it
+    is summed as ``samples . W(w, n)`` with the node weights of
     :func:`oscint.chebyshev._node_weights`, whose one transform, a complex
     FFT of length n, acts on the real moments. The path
     says how the moments were computed: ``DIRECT_TRIANGULAR`` where
@@ -326,14 +337,17 @@ def integrate_on_interval(
     nodes = _grid(operator.index(n))
     # on [-1, 1] the map is the identity to the bit: the nodes hold no -0.0
     x = nodes if half == 1.0 and mid == 0.0 else half * nodes + mid
-    samples = _sample_amplitude(amplitude, x)
     if n < _NODE_WEIGHTS_FROM_N:
+        samples = _cast_samples(amplitude, x)
         key = (samples.dtype, samples.tobytes())
         last = _last_transform
         if last is None or last[0] != key:
-            last = _last_transform = (key, forward_coefficients(samples))
-        value = last[1] @ _chebyshev_moments(omega_eff, n)
+            _check_finite(samples, x)
+            rotated = forward_coefficients(samples) * _I_POW[: n + 1]
+            last = _last_transform = (key, rotated)
+        value = np.dot(last[1], _real_moments(omega_eff, n))
     else:
+        samples = _sample_amplitude(amplitude, x)
         value = samples @ _node_weights(_real_moments(omega_eff, n), nodes)
     # at mid = 0, half times the phase factor is exactly half + 0j, and numpy
     # multiplies half * value as that complex number

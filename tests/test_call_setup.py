@@ -80,6 +80,11 @@ def straightforward_node_weights(m, nodes):
     return W
 
 
+def i_pow(n):
+    """i^k, k = 0..n."""
+    return np.resize([1, 1j, -1, -1j], n + 1)
+
+
 def straightforward_integral(amplitude, omega, a, b, n):
     """``integrate_on_interval``'s value as first written, for valid input."""
     half = (b - a) / 2
@@ -89,7 +94,8 @@ def straightforward_integral(amplitude, omega, a, b, n):
     samples = straightforward_samples(amplitude, half * nodes + mid)
     m = moments._real_moments(omega_eff, n)
     if n < moments._NODE_WEIGHTS_FROM_N:
-        value = forward_coefficients(samples) @ (m * np.resize([1, 1j, -1, -1j], n + 1))
+        # M_k = i^k m_k: the factors i^k are applied to the coefficients
+        value = (forward_coefficients(samples) * i_pow(n)) @ m
     else:
         value = samples @ straightforward_node_weights(m, nodes)
     return complex(half * np.exp(1j * omega * mid) * value)
@@ -159,6 +165,29 @@ def test_values_bit_identical_to_the_straightforward_set_up():
         assert {key[position] for key in seen} == values
     # the node weights' FFT ran both split (such as 1202 = 2*601) and whole
     assert node_weight_degrees == {False, True}
+
+
+def test_rotated_coefficients_sum_within_rounding_of_c_dot_m():
+    # (c * i^k) . m and c . (i^k m) add the same exact products in another
+    # order: a complex c's real part sums c_k^re m_k over even k and
+    # c_k^im m_k over odd k in one pass instead of two. A recursive sum of
+    # n + 1 terms errs by at most n eps times the sum of their moduli in
+    # each of the two orders.
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for alpha, omega, a, b, n in seeded_calls(171, 300):
+        if n >= moments._NODE_WEIGHTS_FROM_N:
+            continue
+        half = (b - a) / 2
+        samples = np.exp(alpha * (half * full_cosine_grid(n) + (b + a) / 2))
+        c = forward_coefficients(samples)
+        m = moments._real_moments(omega * half, n)
+        old = c @ (m * i_pow(n))
+        new = (c * i_pow(n)) @ m
+        size = np.sum(np.abs(c * m))
+        assert abs(new - old) <= 2 * (n + 1) * eps * size
+        worst = max(worst, abs(new - old) / size)
+    assert worst > 0  # the two orders do differ
 
 
 @pytest.mark.parametrize(

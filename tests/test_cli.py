@@ -419,6 +419,22 @@ class TestNonFiniteAmplitude:
         assert out == ""
         assert "needs 2.55e+06 panels" in err
 
+    def test_reference_quadrature_without_a_second_pass_is_solver_error(
+        self, capsys, monkeypatch
+    ):
+        # 255 first-pass panels fit a budget of 256; their refinement does not
+        import oscint.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_MAX_PANELS", 256)
+        code, out, err = run(
+            capsys,
+            "converge", "--amplitude", "1", "--omega", "100",
+            "--n-min", "4", "--n-max", "4",
+        )
+        assert code == 3
+        assert out == ""
+        assert "needs 255 panels" in err
+
     def test_solver_samples_are_solver_error(self, capsys):
         code, out, err = run(
             capsys, "integrate", "--amplitude", "1/x", "--omega", "5", "--n", "8"

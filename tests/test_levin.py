@@ -26,7 +26,7 @@ from oscint import (
 )
 from oscint.chebyshev import forward_coefficients, gauss_lobatto_nodes
 from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
-from oscint.moments import _NODE_WEIGHTS_FROM_N, _chebyshev_moments
+from oscint.moments import _NODE_WEIGHTS_FROM_N, _real_moments
 from oscint.oracle import (
     dense_collocation_solve,
     oscillatory_reference_quadrature,
@@ -69,6 +69,16 @@ def count_transforms(monkeypatch):
 def bits(z):
     """The exact bytes of a complex value, so that -0.0 and 0.0 differ."""
     return np.complex128(z).tobytes()
+
+
+def i_pow(n):
+    """i^k, k = 0..n."""
+    return np.resize([1, 1j, -1, -1j], n + 1)
+
+
+def chebyshev_moments(omega, n):
+    """Moments ``M_k = int_{-1}^{1} T_k(x) exp(i*omega*x) dx = i^k m_k``, k = 0..n."""
+    return i_pow(n) * _real_moments(omega, n)
 
 
 def band_compressor(n):
@@ -645,7 +655,7 @@ class TestChebyshevMoments:
     def test_against_reference_quadrature(self, k, omega, n):
         T_k = npcheb.Chebyshev.basis(k)
         expected = oscillatory_reference_quadrature(T_k, omega, -1.0, 1.0, tol=1e-14)
-        got = _chebyshev_moments(omega, n)[k]
+        got = chebyshev_moments(omega, n)[k]
         # the reference stops once two refinements agree to 1e-14
         assert abs(got - expected) <= 5e-14
 
@@ -654,16 +664,16 @@ class TestChebyshevMoments:
         weights = np.zeros(n + 1)
         k = np.arange(0, n + 1, 2)
         weights[::2] = 2.0 / (1 - k**2)
-        np.testing.assert_array_equal(_chebyshev_moments(0.0, n), weights)
+        np.testing.assert_array_equal(chebyshev_moments(0.0, n), weights)
 
     @pytest.mark.parametrize("omega", [-37.0, -0.2, 1e-9, 2.5, 90.0, 200.0, -200.0])
     def test_even_moments_real_odd_imaginary(self, omega):
-        M = _chebyshev_moments(omega, 90)
+        M = chebyshev_moments(omega, 90)
         assert np.all(M[0::2].imag == 0)
         assert np.all(M[1::2].real == 0)
         # and M(-omega) is the conjugate of M(omega)
         np.testing.assert_allclose(
-            _chebyshev_moments(-omega, 90), M.conj(), rtol=0, atol=1e-15
+            chebyshev_moments(-omega, 90), M.conj(), rtol=0, atol=1e-15
         )
 
     def test_zero_pivot_is_typed(self, monkeypatch):
@@ -674,14 +684,14 @@ class TestChebyshevMoments:
 
         monkeypatch.setattr(oscint.moments, "dgtsv", singular)
         with pytest.raises(SingularMatrixError) as err:
-            _chebyshev_moments(5.0, 16)
+            chebyshev_moments(5.0, 16)
         assert err.value.index == 4
 
 
 def samples_c_dot_moments(amplitude, omega, n):
     """c . M on [-1, 1], summed from the samples' coefficients."""
     samples = np.asarray(amplitude(gauss_lobatto_nodes(n)), dtype=complex)
-    return forward_coefficients(samples) @ _chebyshev_moments(omega, n)
+    return forward_coefficients(samples) @ chebyshev_moments(omega, n)
 
 
 class TestNodeWeightRoute:
@@ -887,6 +897,42 @@ class TestTransformMemo:
         assert paths == {SolvePath.DIRECT_TRIANGULAR, SolvePath.QUADRATURE}
         assert calls == {"rfft": 0, "fft": 1}
 
+    def test_finiteness_is_checked_on_a_miss_only(self, monkeypatch):
+        import oscint.moments as moments_mod
+
+        calls = count_transforms(monkeypatch)
+        check = moments_mod._check_finite
+        checked = []
+
+        def counted(samples, nodes):
+            checked.append(len(samples))
+            return check(samples, nodes)
+
+        monkeypatch.setattr(moments_mod, "_check_finite", counted)
+        f = lambda x: np.exp(self.ALPHA * x)
+        for omega in [0.0, 0.5, 3.0, 20.0, 39.0, 41.0, 300.0, 5e3]:
+            integrate_on_interval(f, omega, 0.0, 3.0, 40)
+        # the first call misses; the seven others hit and are not scanned
+        assert checked == [41]
+        g = lambda x: np.exp(-self.ALPHA * x)
+        for amplitude in (g, g, f, f):
+            integrate_on_interval(amplitude, 7.0, 0.0, 3.0, 40)
+        assert checked == [41, 41, 41]
+        # NaN samples right after a hit are a miss: checked, they raise at
+        # their node and replace nothing
+        broken = lambda x: np.where(x == x[17], np.nan, f(x))
+        with pytest.raises(AmplitudeSamplingError) as err:
+            integrate_on_interval(broken, 7.0, 0.0, 3.0, 40)
+        assert err.value.node == 1.5 * gauss_lobatto_nodes(40)[17] + 1.5
+        assert checked == [41, 41, 41, 41]
+        integrate_on_interval(f, 9.0, 0.0, 3.0, 40)
+        assert checked == [41, 41, 41, 41]
+        assert calls == {"rfft": 0, "fft": 3}
+        # the node-weight route keeps no memo and checks on every call
+        for omega in (0.5, 0.5, 5e3):
+            integrate_on_interval(f, omega, 0.0, 3.0, _NODE_WEIGHTS_FROM_N)
+        assert checked[4:] == [_NODE_WEIGHTS_FROM_N + 1] * 3
+
     def test_changed_closure_state_gets_a_fresh_transform(self, monkeypatch):
         calls = count_transforms(monkeypatch)
         state = {"alpha": 1.0}
@@ -937,7 +983,7 @@ class TestTransformMemo:
         after = self._integrate_samples(f).value
         assert calls == {"rfft": 2, "fft": 0}
         assert after != before
-        expected = forward_coefficients(f) @ _chebyshev_moments(3.0, 6)
+        expected = (forward_coefficients(f) * i_pow(6)) @ _real_moments(3.0, 6)
         assert bits(after) == bits(expected)
 
     def test_written_coefficients_leave_the_memo_alone(self, monkeypatch):

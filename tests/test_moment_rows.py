@@ -70,6 +70,11 @@ def straightforward_chebyshev_moments(omega, n):
     return M
 
 
+def chebyshev_moments(omega, n):
+    """M_k = i^k m_k, with the kernel's i^k (period 4) extended to any n."""
+    return moments._real_moments(omega, n) * np.resize(moments._I_POW, n + 1)
+
+
 def truncation(omega, n):
     return n if abs(omega) > n else max(n, math.ceil(1.5 * abs(omega))) + 40
 
@@ -112,7 +117,7 @@ def test_bit_identical_to_the_straightforward_solve(small_table):
     for omega, n in seeded_calls(140, 300):
         m = moments._real_moments(omega, n)
         assert m.tobytes() == straightforward_real_moments(omega, n).tobytes()
-        M = moments._chebyshev_moments(omega, n)
+        M = chebyshev_moments(omega, n)
         np.testing.assert_array_equal(M, straightforward_chebyshev_moments(omega, n))
         # the table is grown to exactly the largest truncation asked for
         grown = max(grown, truncation(omega, n))
@@ -143,7 +148,6 @@ def test_integrals_bit_identical_on_both_routes(monkeypatch, small_table, n, rat
     omega = ratio * n
     result = integrate_on_interval(f, omega, -1.0, 1.0, n)
     monkeypatch.setattr(moments, "_real_moments", straightforward_real_moments)
-    monkeypatch.setattr(moments, "_chebyshev_moments", straightforward_chebyshev_moments)
     expected = integrate_on_interval(f, omega, -1.0, 1.0, n)
     assert result.value == expected.value
     assert result.path is expected.path is (
@@ -154,9 +158,7 @@ def test_integrals_bit_identical_on_both_routes(monkeypatch, small_table, n, rat
 def test_table_is_read_only_and_returned_moments_are_fresh(small_table):
     for omega, n in [(5.0, 300), (900.0, 300), (0.0, 2), (2e4, 3000)]:
         m = moments._real_moments(omega, n)
-        M = moments._chebyshev_moments(omega, n)
         m[:] = 7.0
-        M[:] = 7.0
         assert moments._real_moments(omega, n).tobytes() == (
             straightforward_real_moments(omega, n).tobytes()
         )
@@ -239,7 +241,15 @@ def test_boundary_route_passes_contiguous_arrays(monkeypatch):
     assert calls == [42, 104, 103, moments._NODE_WEIGHTS_FROM_N + 39]
 
 
-def test_table_holds_six_doubles_per_row():
+def test_table_holds_four_doubles_per_row():
+    # the band's three rows and the gather index: i^k is not stored per row
     for N in (2, 3, 1000):
         table = moments._build_moment_rows(N)
-        assert sum(sequence.nbytes for sequence in table) == 6 * 8 * (N + 1)
+        assert sum(sequence.nbytes for sequence in table) == 4 * 8 * (N + 1)
+
+
+def test_i_pow_is_read_only_and_serves_every_c_dot_m_degree():
+    assert not moments._I_POW.flags.writeable
+    assert len(moments._I_POW) == moments._NODE_WEIGHTS_FROM_N
+    expected = [1j ** (k % 4) for k in range(len(moments._I_POW))]
+    assert moments._I_POW.tobytes() == np.array(expected).tobytes()

@@ -146,6 +146,28 @@ class TestReferenceQuadrature:
         assert "budget of 1048576" in str(err.value)
         assert not sampled
 
+    def test_no_room_for_a_second_pass_rejected_before_sampling(self, monkeypatch):
+        # 4|omega|(b - a)/pi = 254.6: 255 panels fit the budget, their
+        # refinement to 510 does not, so no two passes can be compared
+        import oscint.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_MAX_PANELS", 256)
+        sampled = []
+
+        def amplitude(x):
+            sampled.append(x)
+            return np.ones_like(x)
+
+        with pytest.raises(ValueError, match="needs 255 panels") as err:
+            oscillatory_reference_quadrature(amplitude, 100.0, -1.0, 1.0)
+        assert type(err.value) is ValueError
+        assert "budget of 256" in str(err.value)
+        assert not sampled
+        # 127.3 rounds up to 128 panels, whose refinement fills the budget
+        value = oscillatory_reference_quadrature(amplitude, 50.0, -1.0, 1.0)
+        assert abs(value - 2 * np.sin(50.0) / 50.0) < 1e-13
+        assert [len(x) for x in sampled] == [128 * 33, 256 * 33]
+
     def test_budget_exhaustion_carries_estimate(self, monkeypatch):
         # an endpoint singularity defeats panel doubling at this tolerance
         import oscint.oracle as oracle_mod
@@ -181,6 +203,34 @@ class TestReferenceQuadrature:
     def test_scalar_amplitude_broadcasts(self):
         got = oscillatory_reference_quadrature(lambda x: 1.0, 3.0, -1.0, 1.0)
         assert abs(got - 2 * np.sin(3.0) / 3.0) < 1e-13
+
+    def test_panel_sum_samples_in_blocks(self, monkeypatch):
+        # 2^15 panels of 33 nodes: summed at once, the work arrays peaked at
+        # 61 MB; a block of 2^14 panels peaks near 31 MB
+        import tracemalloc
+
+        import oscint.oracle as oracle_mod
+        from oscint.oracle import _PANEL_BLOCK, _panel_sum
+
+        f = lambda x: np.exp((0.3 + 0.2j) * x) / (x + 3)
+        sizes = []
+
+        def amplitude(x):
+            sizes.append(len(x))
+            return f(x)
+
+        _panel_sum(f, 37.0, -1.0, 2.5, 8)  # the panel rule's set-up
+        tracemalloc.start()
+        try:
+            value = _panel_sum(amplitude, 37.0, -1.0, 2.5, 2 * _PANEL_BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+        assert sizes == [_PANEL_BLOCK * 33] * 2
+        # every panel is summed as in one block; only the sampling is split
+        monkeypatch.setattr(oracle_mod, "_PANEL_BLOCK", 2 * _PANEL_BLOCK)
+        assert _panel_sum(f, 37.0, -1.0, 2.5, 2 * _PANEL_BLOCK) == value
 
     @pytest.mark.parametrize("omega", [0.0, 2.5, 40.0])
     def test_real_samples_match_their_complex_cast(self, omega):
