@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .chebyshev import gauss_lobatto_nodes
 from .levin import IntegralProblem
@@ -55,18 +56,15 @@ class AccuracyNotReachedError(RuntimeError):
 
 
 def transform_matrix(nodes: np.ndarray) -> np.ndarray:
-    """Matrix T with T[j, k] = T_k(x_j), by the three-term recurrence.
+    """Matrix T with T[j, k] = T_k(x_j): numpy's Chebyshev-Vandermonde matrix.
 
     Maps a coefficient vector to the vector of series values on the n+1
-    nodes. Dense; intended for moderate n and for oracle checks.
+    nodes. Dense; intended for moderate n and for oracle checks. T is
+    returned row-major: ``chebvander`` gives a column-major view, and the
+    layout sets the summation order, hence the rounding, of the products
+    and row sums built on T.
     """
-    n = len(nodes) - 1
-    T = np.empty((n + 1, n + 1))
-    T[:, 0] = 1.0
-    T[:, 1] = nodes
-    for k in range(1, n):
-        T[:, k + 1] = 2.0 * nodes * T[:, k] - T[:, k - 1]
-    return T
+    return np.ascontiguousarray(chebvander(nodes, len(nodes) - 1))
 
 
 def physical_diff_matrix(nodes: np.ndarray) -> np.ndarray:

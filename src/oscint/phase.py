@@ -2,8 +2,14 @@
 
 For ``int_a^b f(x) exp(i*omega*g(x)) dx`` with g strictly monotone, the
 substitution y = g(x) gives a linear-phase integral of the transformed
-amplitude f(g^{-1}(y)) / g'(g^{-1}(y)) over [g(a), g(b)]. Stationary
-phase points (g' = 0) are excluded by the monotonicity precondition.
+amplitude f(g^{-1}(y)) / g'(g^{-1}(y)) over [g(a), g(b)].
+
+Monotonicity is probed, not proven. An error is raised for g' zero or of
+the wrong sign at a probe or at a sampled preimage node, for g out of order
+between two probes, and for a complex value of g, g' or the inverse. A zero
+of g' strictly between those points, such as the stationary point x = 0 of
+g = x^3 on [-1, 1], is not detected: the transformed amplitude is singular
+inside the interval, and the value comes back wrong with no error raised.
 """
 
 from __future__ import annotations
@@ -65,7 +71,9 @@ class PhaseSpec:
     Chebyshev points of the bracket (its ends included), requires g' to
     be of one sign there and g to be ordered in that sign, and the
     transformed amplitude checks the sign of g' again at every preimage
-    node it samples. The bracket's ends must be finite, with a < b.
+    node it samples. A zero of g' strictly between those points (a
+    stationary point) is not detected: the integral comes back wrong and
+    no error is raised. The bracket's ends must be finite, with a < b.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -217,8 +225,10 @@ def substitute(
     amplitude inverts all its points in one :func:`numeric_inverse`
     call, which starts from that table (or in one ``phase.inverse``
     call), and raises :class:`NonMonotonePhaseError` if g' at any
-    preimage is zero or of the wrong sign. Its values are real where the
-    amplitude's are.
+    preimage is zero or of the wrong sign. A zero of g' strictly between
+    the probes and the preimages is not detected: the transformed amplitude
+    is singular there, and no error is raised. Its values are real where
+    the amplitude's are.
     """
     a, b = phase.bracket
     table = _probe_table(phase)

@@ -93,6 +93,20 @@ class TestTransformMatrix:
         expected = np.cos(k * np.arccos(x))
         np.testing.assert_allclose(T[:, k], expected, atol=1e-13)
 
+    def test_bit_for_bit_the_three_term_recurrence(self):
+        # the dense oracles and the reference quadrature's weights are sums
+        # over T, so its bits and its row-major layout both hold their values
+        for n in [*range(1, 80), 128, 256, 257]:
+            x = gauss_lobatto_nodes(n)
+            expected = np.empty((n + 1, n + 1))
+            expected[:, 0] = 1.0
+            expected[:, 1] = x
+            for k in range(1, n):
+                expected[:, k + 1] = 2.0 * x * expected[:, k] - expected[:, k - 1]
+            T = transform_matrix(x)
+            assert T.flags.c_contiguous
+            assert T.tobytes() == expected.tobytes()
+
 
 class TestPhysicalDiffMatrix:
     def test_n1_hand_values(self):

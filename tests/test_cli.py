@@ -1,6 +1,9 @@
+import cmath
+
 import numpy as np
 import pytest
 
+from oscint import integrate_on_interval
 from oscint.cli import main
 
 TABLE_1_OMEGA_10 = -0.07854759997855625023 - 0.04871911238563061052j
@@ -32,7 +35,9 @@ class TestIntegrate:
             "integrate", "--amplitude", "1/(x+2)", "--omega", "100", "--n", "30",
         )
         assert code == 0
-        assert out.split()[2] == "direct_triangular"
+        fields = out.split()
+        assert fields[2] == "direct_triangular"
+        assert fields[3] == "nan"
 
     def test_custom_interval(self, capsys):
         # int_0^pi e^{ix} dx = 2i
@@ -61,6 +66,37 @@ class TestIntegrate:
             lambda x: x**2 * np.exp(9j * x**3), 0.0, 0.5, 2.0, tol=1e-13
         )
         assert abs(got - exact) < 1e-10
+
+    def test_sin_phase_table_value(self, capsys):
+        # criterion 2's table at omega = 10, through the parsed expressions
+        code, out, _ = run(
+            capsys,
+            "integrate", "--amplitude", "1/(x^2+1)", "--omega", "10", "--n", "90",
+            "--phase", "sin(x+0.25)", "--phase-derivative", "cos(x+0.25)",
+        )
+        assert code == 0
+        got = complex(*map(float, out.split()[:2]))
+        expected = 0.00266714972608754 + 0.180595659138141j
+        assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_every_function_against_its_numpy_twin(self, capsys):
+        # both constants, a "--" chain and a right-associative "^" (2^0.5 is
+        # the exponent)
+        code, out, _ = run(
+            capsys,
+            "integrate", "--omega", "7", "--n", "64", "--amplitude",
+            "sin(x)+cos(pi*x)*exp(--x/2)+sqrt(x+2)*abs(x-3)+asin(x/2)"
+            "+atan(i*x/2)-log(x+3)*(x+2)^2^0.5",
+        )
+        assert code == 0
+        twin = lambda x: (
+            np.sin(x) + np.cos(np.pi * x) * np.exp(-(-x) / 2)
+            + np.sqrt(x + 2) * np.abs(x - 3) + np.arcsin(x / 2)
+            + np.arctan(1j * x / 2) - np.log(x + 3) * (x + 2) ** (2**0.5)
+        )
+        expected = integrate_on_interval(twin, 7.0, -1.0, 1.0, 64).value
+        got = complex(*map(float, out.split()[:2]))
+        assert abs(got - expected) <= 1e-14 * abs(expected)
 
     def test_quadrature_fallback_reports_its_path(self, capsys):
         code, out, _ = run(
@@ -93,6 +129,16 @@ class TestIntegrate:
         )
         assert code == 3
         assert "one sign" in err
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_interior_stationary_point_is_solver_error(self, capsys):
+        # g' = 3x^2 vanishes at x = 0, between the probes: prints 1.1e30
+        code, _, _ = run(
+            capsys,
+            "integrate", "--amplitude", "1", "--omega", "50", "--n", "64",
+            "--phase", "x^3", "--phase-derivative", "3*x^2",
+        )
+        assert code == 3
 
     def test_phase_with_a_pole_is_solver_error(self, capsys):
         # g' < 0 on both sides of x = 1, but g is not monotone across it
@@ -205,6 +251,24 @@ class TestConverge:
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) < 1e-12
+
+    def test_one_process_across_routes_and_degrees(self, capsys):
+        # omega = 500: the forward route at n = 100, then the boundary-value
+        # route on both sides of the node-weight degree 1024, the moment
+        # table growing with the truncation
+        z = complex(0.9, 500 - 0.6)
+        exact = 2 * cmath.sinh(z) / z
+        code, out, _ = run(
+            capsys,
+            "converge", "--amplitude", "exp((0.9-0.6*i)*x)", "--omega", "500",
+            "--n-min", "100", "--n-max", "2100", "--n-step", "400",
+            f"--exact={exact.real!r},{exact.imag!r}",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["100", "500", "900", "1300", "1700", "2100"]
+        assert [r[4] for r in rows] == ["direct_triangular"] + ["quadrature"] * 5
+        assert all(float(r[1]) <= 1e-11 * abs(exact) for r in rows)
 
     def test_quadrature_fallback_for_unknown_exact(self, capsys):
         code, out, _ = run(

@@ -334,6 +334,22 @@ class TestIntegrateStandard:
             norms[omega] = np.max(np.abs(coeffs))
         assert norms[1000.0] <= norms[100.0]
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+    @pytest.mark.parametrize(
+        "omega,n", [(1e-11, 32), (1e-9, 256), (1e-7, 256), (1e-5, 256)]
+    )
+    def test_tiny_frequency_is_right_or_raises(self, omega, n):
+        alpha = 1.019 - 1.0542j
+        z = alpha + 1j * omega
+        exact = 2.0 * np.sinh(z) / z
+        try:
+            result = integrate_standard(
+                IntegralProblem(lambda x: np.exp(alpha * x), omega, n)
+            )
+        except ValueError:
+            return
+        assert abs(result.value - exact) <= 1e-12 * abs(exact)
+
 
 class TestIntegrateOnInterval:
     def test_standard_interval_agrees_with_levin_solver(self):
@@ -715,6 +731,21 @@ class TestNodeWeightRoute:
         assert abs(result.value - exact) <= 1e-11 * abs(exact)
         reference = samples_c_dot_moments(f, omega, n)
         assert abs(result.value - reference) <= 1e-13 * abs(reference)
+
+    # 1500 is 5-smooth; 4099 is prime, so the node weights' FFT is a Bluestein
+    # one; 16414 = 2*29*283 splits it at 283 into two batched FFTs along the
+    # axes of a 2-D array
+    @pytest.mark.parametrize("n", [1500, 4099, 16414])
+    @pytest.mark.parametrize("omega", [5.0, 30000.0])
+    def test_fft_lengths_against_closed_form(self, n, omega):
+        f = lambda x: np.exp(self.ALPHA * x)
+        result = integrate_on_interval(f, omega, -1.0, 1.0, n)
+        z = self.ALPHA + 1j * omega
+        exact = 2.0 * np.sinh(z) / z
+        assert result.path is (
+            SolvePath.DIRECT_TRIANGULAR if omega > n else SolvePath.QUADRATURE
+        )
+        assert abs(result.value - exact) <= 1e-11 * abs(exact)
 
     @pytest.mark.parametrize(
         "n,amplitude,calls",

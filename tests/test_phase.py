@@ -288,6 +288,37 @@ class TestNumericInverse:
         assert np.all(np.abs(g(xs) - ys) <= 1e-14 * (1 + np.abs(ys)))
 
 
+class TestStationaryPoint:
+    """g' vanishes strictly between the probes and the sampled preimages:
+    the transformed amplitude is singular inside the interval, and the value
+    comes back wrong with no error."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize(
+        "g, g_prime, bracket",
+        [
+            pytest.param(lambda x: x**3, lambda x: 3 * x**2, (-1.0, 1.0), id="cube"),
+            pytest.param(
+                lambda x: x**3, lambda x: 3 * x**2, (-0.7, 1.1), id="cube-off-centre"
+            ),
+            pytest.param(
+                lambda x: x - np.sin(x), lambda x: 1 - np.cos(x), (-1.0, 1.3),
+                id="x-minus-sin",
+            ),
+            pytest.param(
+                lambda x: (x - 0.013) ** 3, lambda x: 3 * (x - 0.013) ** 2,
+                (-1.0, 1.0), id="shifted-cube",
+            ),
+        ],
+    )
+    def test_raises(self, g, g_prime, bracket, n):
+        phase = PhaseSpec(g=g, g_prime=g_prime, bracket=bracket)
+        with pytest.raises(ValueError):
+            f, (lo, hi), w = substitute(lambda x: np.ones_like(x), phase, 50.0)
+            integrate_on_interval(f, w, lo, hi, n)
+
+
 class TestPole:
     """g' < 0 at every probe, but g jumps from -inf to +inf at x = 1."""
 
