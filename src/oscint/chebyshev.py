@@ -154,10 +154,10 @@ def _node_weights(m: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     extension[n + 1 :] = r[n - 1 : 0 : -1]
     z = _fft(extension.view(np.complex128), nodes)
     z = np.append(z, z[0])
-    # sin(pi*j/n) from the nodes: the pair (x_j, sines_j) is a unit vector to
-    # rounding, which is what the rotation below needs, and is cheaper than
-    # sin. It is formed on the first n//2 + 1 nodes and mirrored: since
-    # x_{n-j} = -x_j exactly, (1 - x)(1 + x) takes the same factors there.
+    # sin(pi*j/n) from the nodes, which is cheaper than np.sin, whose sines
+    # give integrals no more accurate. It is formed on the first n//2 + 1
+    # nodes and mirrored: since x_{n-j} = -x_j exactly, (1 - x)(1 + x) takes
+    # the same factors there.
     lower = n // 2 + 1
     sines = np.empty(n + 1)
     head = sines[:lower]

@@ -144,6 +144,25 @@ def _check_finite(samples: np.ndarray, nodes: np.ndarray) -> None:
             raise AmplitudeSamplingError(float(nodes[int(np.argmax(bad))]))
 
 
+def _interval(a: float, b: float) -> tuple[float, float, float, float]:
+    """The interval contract: ``(a, b, half, mid)`` with ``a`` and ``b`` as
+    Python floats, so that float32 ends are computed in double precision.
+
+    Raises ``ValueError("invalid interval: ...")`` unless both ends are
+    finite and a < b. ``half`` and ``mid`` are taken by halves: halving is
+    exact above the subnormal range, so they are (b - a)/2 and (a + b)/2 to
+    the bit there, and neither overflows where b - a or a + b would. A point
+    placed on [a, b] is ``half*x + mid`` for x in [-1, 1], clipped into
+    [a, b], since it can round an ulp past an end.
+    """
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"invalid interval: endpoints must be finite, got [{a}, {b}]")
+    if not a < b:
+        raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
+    return a, b, b / 2 - a / 2, a / 2 + b / 2
+
+
 class _MomentRows(NamedTuple):
     """The omega-independent sequences of the moment rows k = 1..N.
 
@@ -313,22 +332,17 @@ def integrate_on_interval(
 
     On [-1, 1] the amplitude is called with the memoised, read-only node
     array of :func:`oscint.chebyshev.gauss_lobatto_nodes` itself, as in
-    :func:`integrate_standard`; elsewhere with a fresh array of mapped nodes.
+    :func:`integrate_standard`; elsewhere with a fresh array of mapped nodes,
+    ``half*x + mid`` clipped into [a, b], so every sample lies in [a, b].
     ``omega``, ``a`` and ``b`` are converted to Python floats, so that
-    float32 inputs are computed in double precision.
+    float32 inputs are computed in double precision; the ends must be finite,
+    with a < b (:func:`_interval`), or ``ValueError`` is raised before any
+    sample is taken.
     """
     global _last_transform
-    # numpy >= 2 keeps float32 * float in float32 (NEP 50)
-    omega, a, b = float(omega), float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"interval endpoints must be finite, got [{a}, {b}]")
-    if not a < b:
-        raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
+    omega = float(omega)  # numpy >= 2 keeps float32 * float in float32 (NEP 50)
+    a, b, half, mid = _interval(a, b)
     check_degree(n, 2)
-    # halving is exact above the subnormal range, so these are (b - a)/2 and
-    # (b + a)/2 to the bit there, and neither overflows where b - a or b + a would
-    half = b / 2 - a / 2
-    mid = a / 2 + b / 2
     omega_eff = omega * half
     if not math.isfinite(omega_eff):
         raise ValueError(f"omega must be finite, got {omega}*(b-a)/2 = {omega_eff}")
@@ -336,7 +350,7 @@ def integrate_on_interval(
         raise ValueError(f"omega*(a+b)/2 overflows: omega = {omega}, mid = {mid}")
     nodes = _grid(operator.index(n))
     # on [-1, 1] the map is the identity to the bit: the nodes hold no -0.0
-    x = nodes if half == 1.0 and mid == 0.0 else half * nodes + mid
+    x = nodes if half == 1.0 and mid == 0.0 else np.clip(half * nodes + mid, a, b)
     if n < _NODE_WEIGHTS_FROM_N:
         samples = _cast_samples(amplitude, x)
         key = (samples.dtype, samples.tobytes())

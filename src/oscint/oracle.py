@@ -22,7 +22,7 @@ from numpy.polynomial.chebyshev import chebvander
 
 from .chebyshev import gauss_lobatto_nodes
 from .levin import IntegralProblem
-from .moments import _sample_amplitude
+from .moments import _interval, _sample_amplitude
 
 __all__ = [
     "AccuracyNotReachedError",
@@ -149,7 +149,8 @@ def _panel_sum(
     for start in range(0, panels, _PANEL_BLOCK):
         block = edges[start : start + _PANEL_BLOCK + 1]
         centers = 0.5 * (block[:-1] + block[1:])
-        X = centers[:, None] + half * x_ref[None, :]
+        # the end panels' outer nodes can round an ulp past a and b
+        X = np.clip(centers[:, None] + half * x_ref[None, :], a, b)
         F = _sample_amplitude(amplitude, X.ravel()).reshape(X.shape)
         per_panel[start : start + len(centers)] = F * np.exp(1j * omega * X) @ w_ref
     return complex(half * np.sum(per_panel))
@@ -166,18 +167,20 @@ def oscillatory_reference_quadrature(
 
     The initial panel width is at most pi/(4|omega|) so every panel
     resolves the oscillation; panel count doubles until two successive
-    refinements agree within ``tol``. Raises ``ValueError`` naming the
-    argument when ``a``, ``b``, ``omega`` or ``tol`` is not finite, the
-    interval when its width ``b - a`` overflows, or the panel count when the
-    second pass, which the first is compared with, would need more than the
-    budget of 2^20 panels; no sample is taken then.
+    refinements agree within ``tol``. ``a`` and ``b`` are converted to
+    floats and must be finite, with a < b, and every sample lies in [a, b].
+    Raises ``ValueError`` for an invalid interval (as
+    :func:`oscint.moments.integrate_on_interval` does), for one whose width
+    ``b - a`` overflows, naming the argument when ``omega`` or ``tol`` is
+    not finite, or naming the panel count when the second pass, which the
+    first is compared with, would need more than the budget of 2^20 panels;
+    no sample is taken then.
     """
-    for name, value in (("a", a), ("b", b), ("omega", omega), ("tol", tol)):
+    a, b, _, _ = _interval(a, b)
+    for name, value in (("omega", omega), ("tol", tol)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if not a < b:
-        raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
-    width = float(b) - float(a)  # a numpy scalar difference would warn on overflow
+    width = b - a
     if not math.isfinite(width):
         raise ValueError(f"invalid interval: b - a overflows, got [{a}, {b}]")
     if tol < 1e-14:

@@ -14,11 +14,12 @@ inside the interval, and the value comes back wrong with no error raised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .moments import _interval
 
 __all__ = [
     "PhaseSpec",
@@ -73,7 +74,10 @@ class PhaseSpec:
     transformed amplitude checks the sign of g' again at every preimage
     node it samples. A zero of g' strictly between those points (a
     stationary point) is not detected: the integral comes back wrong and
-    no error is raised. The bracket's ends must be finite, with a < b.
+    no error is raised. The bracket's ends are converted to floats and
+    must be finite, with a < b, or ``ValueError("invalid interval: ...")``
+    is raised; ``bracket`` holds that float pair. Every probe lies in the
+    bracket.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -83,11 +87,7 @@ class PhaseSpec:
 
     def __post_init__(self):
         # the probes of a reversed bracket would report it as a non-monotone g
-        a, b = self.bracket
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError(f"invalid interval: ends must be finite, got [{a}, {b}]")
-        if not a < b:
-            raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
+        object.__setattr__(self, "bracket", _interval(*self.bracket)[:2])
 
 
 class _ProbeTable(NamedTuple):
@@ -121,9 +121,8 @@ def _probe_table(phase: PhaseSpec) -> _ProbeTable:
     ordered in that sign, which is also what :func:`numpy.interp` needs
     of the table.
     """
-    a, b = phase.bracket
-    # by halves, as integrate_on_interval maps its nodes: b - a may overflow
-    x = (b / 2 - a / 2) * _PROBES + (a / 2 + b / 2)
+    a, b, half, mid = _interval(*phase.bracket)
+    x = np.clip(half * _PROBES + mid, a, b)
     x[0], x[-1] = a, b
     dv = _values(phase.g_prime, x, "g'")
     if np.any(dv == 0) or not (np.all(dv > 0) or np.all(dv < 0)):
@@ -170,7 +169,8 @@ def numeric_inverse(
     lo, hi = table.x[0], table.x[-1]  # g(lo) <= g(hi)
     glo, ghi = table.g[0], table.g[-1]
     target = np.asarray(y, dtype=float)
-    # nodes mapped onto [g(a), g(b)] can land ulps of max|g| past its ends
+    # integrate_on_interval clips its nodes into [g(a), g(b)]; a direct
+    # caller's targets mapped onto it can land ulps of max|g| past its ends
     slack = 1e-12 * (1 + max(abs(glo), abs(ghi)))
     outside = ~((glo - slack <= target) & (target <= ghi + slack))
     if np.any(outside):

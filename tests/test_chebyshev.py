@@ -138,6 +138,10 @@ class TestSpectralDiffMatrix:
         assert B[0, 1] == 1.0
         assert B[0, 0] == 0.0 and B[1, 1] == 0.0
 
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+            spectral_diff_matrix(0)
+
     def test_commutes_with_physical_differentiation(self):
         n = 16
         rng = np.random.default_rng(7)

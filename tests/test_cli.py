@@ -1,8 +1,13 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscint
 from oscint import integrate_on_interval
 from oscint.cli import main
 
@@ -212,6 +217,21 @@ class TestIntegrate:
         )
         assert (code, out) == (3, "")
         assert "invalid interval: need a < b, got [1.0, -1.0]" in err
+
+    def test_module_run_exits_with_the_solver_error_code(self):
+        # python -m oscint.cli passes main's return code to sys.exit; x^2 is
+        # not monotone on the default [-1, 1]
+        src = str(Path(oscint.__file__).parents[1])
+        argv = ["integrate", "--amplitude", "1", "--omega", "5", "--n", "16",
+                "--phase", "x^2", "--phase-derivative", "2*x"]
+        done = subprocess.run(
+            [sys.executable, "-m", "oscint.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.startswith("oscint: error: ")
 
     def test_bad_expression_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import os
@@ -541,6 +542,113 @@ class TestIntegrateOnInterval:
         for name in ("value", "path", "n_used", "residual_norm"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(result, name, None)
+
+
+def seeded_intervals():
+    """100 intervals: seed 1, a ~ U[-10, 10], then b - a ~ U[1e-3, 10]."""
+    rng = np.random.default_rng(1)
+    intervals = []
+    for _ in range(100):
+        a = float(rng.uniform(-10, 10))
+        intervals.append((a, a + float(rng.uniform(1e-3, 10))))
+    return intervals
+
+
+def decay_in(a, b, seen):
+    """exp(a - x), NaN only outside [a, b]; every argument is appended to ``seen``."""
+
+    def f(x):
+        seen.append(np.array(x))
+        with np.errstate(invalid="ignore"):
+            return np.exp(a - x) + 0 * np.sqrt(x - a) * np.sqrt(b - x)
+
+    return f
+
+
+def decay_integral(omega, a, b):
+    """int_a^b exp(a - x) exp(i*omega*x) dx."""
+    z = complex(-1.0, omega)
+    return (cmath.exp(a - b + 1j * omega * b) - cmath.exp(1j * omega * a)) / z
+
+
+class TestSamplesStayInTheInterval:
+    """Every point placed on [a, b] is half*x + mid clipped into [a, b]."""
+
+    def test_kernel_samples_in_the_interval(self):
+        # one node rounded an ulp past an end on 15 of these intervals
+        for a, b in seeded_intervals():
+            seen = []
+            value = integrate_on_interval(decay_in(a, b, seen), 7.0, a, b, 32).value
+            x = np.concatenate(seen)
+            assert a <= x.min() and x.max() <= b
+            exact = decay_integral(7.0, a, b)
+            assert abs(value - exact) <= 1e-13 * abs(exact)
+
+    def test_reference_quadrature_samples_in_the_interval(self):
+        # a panel node rounded past an end on 35 of these intervals
+        for a, b in seeded_intervals():
+            seen = []
+            value = oscillatory_reference_quadrature(decay_in(a, b, seen), 7.0, a, b)
+            x = np.concatenate(seen)
+            assert a <= x.min() and x.max() <= b
+            exact = decay_integral(7.0, a, b)
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+def two_product(x, y):
+    """(p, e) with p + e = x*y exactly: Dekker's TwoProduct with a Veltkamp split."""
+
+    def split(v):
+        c = 134217729.0 * v  # 2^27 + 1
+        high = c - (c - v)
+        return high, v - high
+
+    p = x * y
+    xh, xl = split(x)
+    yh, yl = split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def linear_phase_integral(omega, a, b):
+    """int_a^b exp(i*omega*x) dx with omega*a and omega*b carried exactly as p + e."""
+
+    def phase_factor(x):
+        p, e = two_product(omega, x)
+        return cmath.exp(1j * p) * cmath.exp(1j * e)
+
+    return (phase_factor(b) - phase_factor(a)) / (1j * omega)
+
+
+class TestPhaseRoundingOffTheStandardInterval:
+    """Off [-1, 1] the rounding of omega*(b-a)/2 and omega*(a+b)/2 sets an
+    error floor of about eps*|omega|*max(|a|, |b|) (ROADMAP item 3)."""
+
+    @pytest.mark.parametrize("omega", [3.0, 1e5])
+    def test_reference_equals_the_kernel_on_the_standard_interval(self, omega):
+        result = integrate_on_interval(lambda x: np.ones_like(x), omega, -1.0, 1.0, 64)
+        assert result.value == linear_phase_integral(omega, -1.0, 1.0)
+
+    # worst relative errors of the 20 draws of each row, as measured: 2.6e-4,
+    # 4.2e-2, 2.0 and 3.1e-10
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+    @pytest.mark.parametrize(
+        "far,omega",
+        [(True, 1e6), (True, 1e8), (True, 1e10), (False, 1e5)],
+        ids=["far-1e6", "far-1e8", "far-1e10", "near-1e5"],
+    )
+    def test_within_1e_14_of_the_exact_phase(self, far, omega):
+        # far: |a| in [5e5, 2e6]; near: a in [-1, 0]; b - a in [0.5, 2]
+        rng = np.random.default_rng([3, int(far), int(omega)])
+        for _ in range(20):
+            if far:
+                a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e6)
+            else:
+                a = float(rng.uniform(-1.0, 0.0))
+            b = a + float(rng.uniform(0.5, 2.0))
+            w = float(rng.uniform(1.0, 2.0) * omega)
+            value = integrate_on_interval(lambda x: np.ones_like(x), w, a, b, 64).value
+            exact = linear_phase_integral(w, a, b)
+            assert abs(value - exact) <= 1e-14 * abs(exact)
 
 
 def moment_route_error(alpha, omega, n):

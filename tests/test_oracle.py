@@ -78,6 +78,14 @@ class TestReferenceQuadrature:
         with pytest.raises(ValueError):
             oscillatory_reference_quadrature(lambda x: x, 1.0, 1.0, -1.0)
 
+    def test_float32_ends_are_computed_in_double(self):
+        # float32 panel edges never converged: the panels doubled to the budget
+        f = lambda x: np.ones_like(x)
+        a, b = np.float32(0.1), np.float32(0.9)
+        got = oscillatory_reference_quadrature(f, 3.0, a, b)
+        expected = oscillatory_reference_quadrature(f, 3.0, float(a), float(b))
+        assert np.complex128(got).tobytes() == np.complex128(expected).tobytes()
+
     @pytest.mark.parametrize("scalar", [float, np.float64])
     @pytest.mark.parametrize("omega", [5.0, 0.0])
     def test_overflowing_width_is_an_invalid_interval(self, omega, scalar):
@@ -111,7 +119,8 @@ class TestReferenceQuadrature:
             sampled.append(x)
             return np.ones_like(x)
 
-        with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+        message = "invalid interval: endpoints" if name in "ab" else name
+        with pytest.raises(ValueError, match=f"^{message} must be finite") as err:
             oscillatory_reference_quadrature(f, omega, a, b)
         assert type(err.value) is ValueError
         assert not sampled

@@ -72,14 +72,33 @@ class TestMonotonicityCheck:
         [
             ((1.0, -1.0), r"need a < b, got \[1.0, -1.0\]"),
             ((1.0, 1.0), r"need a < b, got \[1.0, 1.0\]"),
-            ((0.0, np.inf), "ends must be finite"),
-            ((np.nan, 1.0), "ends must be finite"),
+            ((0.0, np.inf), "endpoints must be finite"),
+            ((np.nan, 1.0), "endpoints must be finite"),
         ],
     )
     def test_invalid_bracket_rejected(self, bracket, message):
         # a reversed bracket is an input error, not a non-monotone phase
         with pytest.raises(ValueError, match="invalid interval: " + message):
             PhaseSpec(g=lambda x: x**3, g_prime=lambda x: 3 * x**2, bracket=bracket)
+
+    @pytest.mark.parametrize("width", [1e-14, 1e-15])
+    def test_narrow_bracket_probes_stay_in_it(self, width):
+        # half*x + mid rounds below a here unless it is clipped into [a, b]
+        probed = []
+
+        def g_prime(x):
+            probed.append(x.copy())
+            return np.ones_like(x)
+
+        phase = PhaseSpec(g=lambda x: x, g_prime=g_prime, bracket=(1.0, 1.0 + width))
+        _, limits, _ = substitute(lambda x: np.ones_like(x), phase, 5.0)
+        assert limits == (1.0, 1.0 + width)
+        assert 1.0 <= probed[0].min() and probed[0].max() <= 1.0 + width
+
+    def test_bracket_is_stored_as_python_floats(self):
+        phase = cubic_phase((np.float32(0.5), np.int64(2)))
+        assert phase.bracket == (0.5, 2.0)
+        assert all(type(end) is float for end in phase.bracket)
 
     def test_zero_derivative_at_probed_point_rejected(self):
         # g' vanishes at the endpoint x = 1, which the probe grid hits
