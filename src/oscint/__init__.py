@@ -10,6 +10,7 @@ kept as the reference: it solves the banded complex Levin system for the
 antiderivative's coefficients in O(n) time.
 """
 
+from .errors import AccuracyNotReachedError, OscintError
 from .expr import AmplitudeExpr, ParseError, parse_amplitude
 from .levin import (
     IntegralProblem,
@@ -25,7 +26,6 @@ from .moments import (
     integrate_on_interval,
 )
 from .oracle import (
-    AccuracyNotReachedError,
     ExampleSpec,
     builtin_examples,
     get_example,
@@ -44,6 +44,7 @@ __all__ = [
     "IntegralResult",
     "InversionError",
     "NonMonotonePhaseError",
+    "OscintError",
     "ParseError",
     "PhaseSpec",
     "SingularMatrixError",

@@ -38,6 +38,8 @@ import operator
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = [
     "gauss_lobatto_nodes",
     "forward_coefficients",
@@ -46,16 +48,17 @@ __all__ = [
 
 
 def check_degree(n: int, lowest: int = 1) -> None:
-    """Raise ``ValueError`` unless ``n`` is an integer >= ``lowest``.
+    """Raise :class:`InvalidInputError` (a ``ValueError``) unless ``n`` is an
+    integer >= ``lowest``.
 
     Numpy integers are accepted; floats such as 30.0 are not.
     """
     try:
         operator.index(n)
     except TypeError:
-        raise ValueError(f"degree must be an integer, got {n!r}") from None
+        raise InvalidInputError(f"degree must be an integer, got {n!r}") from None
     if n < lowest:
-        raise ValueError(f"degree must be >= {lowest}, got {n}")
+        raise InvalidInputError(f"degree must be >= {lowest}, got {n}")
 
 
 def gauss_lobatto_nodes(n: int) -> np.ndarray:
@@ -63,7 +66,7 @@ def gauss_lobatto_nodes(n: int) -> np.ndarray:
 
     The endpoints (and the midpoint for even n) are assigned exactly so
     that the symmetry x_k = -x_{n-k} holds without trigonometric
-    round-off. Raises ``ValueError`` unless ``n`` is an integer >= 1.
+    round-off. Raises :class:`InvalidInputError` unless ``n`` is an integer >= 1.
 
     The nodes of the last four degrees are memoised, so repeated calls
     with one ``n`` return the same read-only array.
@@ -104,7 +107,7 @@ def forward_coefficients(f_values: np.ndarray) -> np.ndarray:
     the coefficients are always complex128 and in double precision.
 
     Every call transforms: the result is a fresh array the caller owns.
-    Fewer than two samples raise ``ValueError``.
+    Fewer than two samples raise :class:`InvalidInputError`.
     """
     f_values = np.asarray(f_values)
     n = len(f_values) - 1

@@ -3,7 +3,10 @@
 Subcommands: ``integrate`` for a single integral, ``converge`` for an
 error-vs-n sweep emitted as CSV, and ``example`` to run an entry of the
 built-in catalog. Each flag is checked once, by its argparse ``type`` or
-``choices``. Exit codes: 0 success, 2 usage errors, 3 solver errors.
+``choices``. Exit codes: 0 success, 2 usage errors, 3 when oscint could not
+compute what was asked, which is an :class:`~oscint.errors.OscintError`,
+printed as one ``oscint: error:`` line. Any other exception is a defect and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -13,18 +16,12 @@ import functools
 import math
 import sys
 
+from .errors import OscintError
 from .expr import ParseError, parse_amplitude
 from .moments import integrate_on_interval
-from .oracle import (
-    AccuracyNotReachedError,
-    builtin_examples,
-    get_example,
-    oscillatory_reference_quadrature,
-)
-from .phase import ComplexPhaseError, InversionError, PhaseSpec, substitute
+from .oracle import builtin_examples, get_example, oscillatory_reference_quadrature
+from .phase import ComplexPhaseError, PhaseSpec, substitute
 
-# every other solver error subclasses ValueError
-_SOLVER_ERRORS = (ValueError, AccuracyNotReachedError, InversionError)
 # the flag that gives each phase function a ComplexPhaseError names
 _PHASE_FLAGS = {"g": "--phase", "g'": "--phase-derivative"}
 
@@ -180,7 +177,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except _SOLVER_ERRORS as exc:
+    except OscintError as exc:
         if isinstance(exc, ComplexPhaseError):
             exc = ComplexPhaseError(_PHASE_FLAGS[exc.name], exc.x)
         print(f"oscint: error: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import OscintError
+
 __all__ = ["AmplitudeExpr", "ParseError", "parse_amplitude"]
 
 _FUNCTIONS = {
@@ -53,7 +55,7 @@ _TOKEN = re.compile(r"(\.?\d[\d.]*(?:[eE][+-]?\d+)?)|([^\W\d]\w*)|(\S)")
 _PUNCTUATION = frozenset("+-*/^()")
 
 
-class ParseError(ValueError):
+class ParseError(OscintError, ValueError):
     """Syntax error with the byte offset and the tokens expected there."""
 
     def __init__(self, offset: int, expected: tuple[str, ...], found: str):

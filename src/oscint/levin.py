@@ -29,6 +29,7 @@ from .chebyshev import (
     forward_coefficients,
     gauss_lobatto_nodes,
 )
+from .errors import InvalidInputError, OscintError
 from .moments import Amplitude, IntegralResult, SolvePath, _sample_amplitude
 
 # The benchmark's tracer wraps the kernel under this module's name, as
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-class ZeroFrequencyError(ValueError):
+class ZeroFrequencyError(OscintError, ValueError):
     """The Levin system is undefined at omega = 0 (the diagonal vanishes).
 
     :func:`integrate_on_interval` accepts omega = 0, a case of its
@@ -54,7 +55,7 @@ class ZeroFrequencyError(ValueError):
     """
 
 
-class SolverOverflowError(ValueError):
+class SolverOverflowError(OscintError, ValueError):
     """The banded solve produced non-finite Chebyshev coefficients.
 
     Forcing the direct path with n far above |omega| makes the
@@ -74,7 +75,7 @@ class IntegralProblem:
         # numpy >= 2 keeps float32 * complex in complex64 (NEP 50)
         object.__setattr__(self, "omega", float(self.omega))
         if not math.isfinite(self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
+            raise InvalidInputError(f"omega must be finite, got {self.omega}")
         if self.omega == 0:
             raise ZeroFrequencyError(
                 "omega = 0: the integrand does not oscillate; "
@@ -157,7 +158,7 @@ def solve_coefficients(
     coefficients.
     """
     if force_path is SolvePath.QUADRATURE:
-        raise ValueError("the quadrature fallback solves no banded system")
+        raise InvalidInputError("the quadrature fallback solves no banded system")
     G = assemble_G(problem.omega, problem.n)
     rhs = assemble_rhs(problem)
     if force_path is not None:

@@ -36,6 +36,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv, dtbtrs
 
 from .chebyshev import _grid, _node_weights, check_degree, forward_coefficients
+from .errors import InvalidInputError, OscintError
 
 __all__ = [
     "Amplitude",
@@ -73,7 +74,7 @@ _I_POW.flags.writeable = False
 _last_transform = None
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(OscintError, ValueError):
     """Raised when elimination meets a zero pivot; ``index`` names it."""
 
     def __init__(self, message: str, index: int):
@@ -81,7 +82,7 @@ class SingularMatrixError(ValueError):
         self.index = index
 
 
-class AmplitudeSamplingError(ValueError):
+class AmplitudeSamplingError(OscintError, ValueError):
     """Amplitude returned a non-finite value at a collocation node.
 
     ``node`` is where the caller's amplitude was sampled: a point of
@@ -148,7 +149,7 @@ def _interval(a: float, b: float) -> tuple[float, float, float, float]:
     """The interval contract: ``(a, b, half, mid)`` with ``a`` and ``b`` as
     Python floats, so that float32 ends are computed in double precision.
 
-    Raises ``ValueError("invalid interval: ...")`` unless both ends are
+    Raises ``InvalidInputError("invalid interval: ...")`` unless both ends are
     finite and a < b. ``half`` and ``mid`` are taken by halves: halving is
     exact above the subnormal range, so they are (b - a)/2 and (a + b)/2 to
     the bit there, and neither overflows where b - a or a + b would. A point
@@ -157,9 +158,11 @@ def _interval(a: float, b: float) -> tuple[float, float, float, float]:
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"invalid interval: endpoints must be finite, got [{a}, {b}]")
+        raise InvalidInputError(
+            f"invalid interval: endpoints must be finite, got [{a}, {b}]"
+        )
     if not a < b:
-        raise ValueError(f"invalid interval: need a < b, got [{a}, {b}]")
+        raise InvalidInputError(f"invalid interval: need a < b, got [{a}, {b}]")
     return a, b, b / 2 - a / 2, a / 2 + b / 2
 
 
@@ -336,7 +339,7 @@ def integrate_on_interval(
     ``half*x + mid`` clipped into [a, b], so every sample lies in [a, b].
     ``omega``, ``a`` and ``b`` are converted to Python floats, so that
     float32 inputs are computed in double precision; the ends must be finite,
-    with a < b (:func:`_interval`), or ``ValueError`` is raised before any
+    with a < b (:func:`_interval`), or :class:`InvalidInputError` is raised before any
     sample is taken.
     """
     global _last_transform
@@ -345,9 +348,13 @@ def integrate_on_interval(
     check_degree(n, 2)
     omega_eff = omega * half
     if not math.isfinite(omega_eff):
-        raise ValueError(f"omega must be finite, got {omega}*(b-a)/2 = {omega_eff}")
+        raise InvalidInputError(
+            f"omega must be finite, got {omega}*(b-a)/2 = {omega_eff}"
+        )
     if not math.isfinite(omega * mid):
-        raise ValueError(f"omega*(a+b)/2 overflows: omega = {omega}, mid = {mid}")
+        raise InvalidInputError(
+            f"omega*(a+b)/2 overflows: omega = {omega}, mid = {mid}"
+        )
     nodes = _grid(operator.index(n))
     # on [-1, 1] the map is the identity to the bit: the nodes hold no -0.0
     x = nodes if half == 1.0 and mid == 0.0 else np.clip(half * nodes + mid, a, b)

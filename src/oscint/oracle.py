@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
-from .chebyshev import gauss_lobatto_nodes
+from .chebyshev import check_degree, gauss_lobatto_nodes
+from .errors import AccuracyNotReachedError, InvalidInputError
 from .levin import IntegralProblem
 from .moments import _interval, _sample_amplitude
 
@@ -41,18 +42,6 @@ _MAX_PANELS = 2**20
 _PANEL_ORDER = 32
 # panels sampled at once: their work arrays, 33 nodes a panel, peak near 30 MB
 _PANEL_BLOCK = 2**14
-
-
-class AccuracyNotReachedError(RuntimeError):
-    """Quadrature refinement budget exhausted; carries the best estimate."""
-
-    def __init__(self, estimate: complex, error_estimate: float):
-        super().__init__(
-            f"panel budget exceeded; best estimate {estimate} "
-            f"(error ~ {error_estimate:.3e})"
-        )
-        self.estimate = estimate
-        self.error_estimate = error_estimate
 
 
 def transform_matrix(nodes: np.ndarray) -> np.ndarray:
@@ -92,8 +81,7 @@ def spectral_diff_matrix(n: int) -> np.ndarray:
     B[i, j] = 2j/r_i for j > i with i + j odd, zero otherwise, where
     r_0 = 2 and r_i = 1 for i > 0. Strictly upper triangular and dense.
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+    check_degree(n)
     i, j = np.indices((n + 1, n + 1))
     B = np.where((j > i) & ((i + j) % 2 == 1), 2.0 * j, 0.0)
     B[0] /= 2  # row 0 carries the half weight r_0 = 2
@@ -108,7 +96,7 @@ def dense_collocation_solve(problem: IntegralProblem) -> np.ndarray:
     """
     n = problem.n
     if n > _MAX_ORACLE_DEGREE:
-        raise ValueError(f"dense oracle is limited to n <= {_MAX_ORACLE_DEGREE}")
+        raise InvalidInputError(f"dense oracle is limited to n <= {_MAX_ORACLE_DEGREE}")
     nodes = gauss_lobatto_nodes(n)
     T = transform_matrix(nodes)
     B = spectral_diff_matrix(n)
@@ -169,7 +157,7 @@ def oscillatory_reference_quadrature(
     resolves the oscillation; panel count doubles until two successive
     refinements agree within ``tol``. ``a`` and ``b`` are converted to
     floats and must be finite, with a < b, and every sample lies in [a, b].
-    Raises ``ValueError`` for an invalid interval (as
+    Raises :class:`InvalidInputError` for an invalid interval (as
     :func:`oscint.moments.integrate_on_interval` does), for one whose width
     ``b - a`` overflows, naming the argument when ``omega`` or ``tol`` is
     not finite, or naming the panel count when the second pass, which the
@@ -179,15 +167,15 @@ def oscillatory_reference_quadrature(
     a, b, _, _ = _interval(a, b)
     for name, value in (("omega", omega), ("tol", tol)):
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise InvalidInputError(f"{name} must be finite, got {value}")
     width = b - a
     if not math.isfinite(width):
-        raise ValueError(f"invalid interval: b - a overflows, got [{a}, {b}]")
+        raise InvalidInputError(f"invalid interval: b - a overflows, got [{a}, {b}]")
     if tol < 1e-14:
-        raise ValueError("tolerance below 1e-14 is not attainable in doubles")
+        raise InvalidInputError("tolerance below 1e-14 is not attainable in doubles")
     need = width * 4 * abs(float(omega)) / math.pi
     if 2 * need > _MAX_PANELS:
-        raise ValueError(
+        raise InvalidInputError(
             f"the interval needs {need:.3g} panels at omega = {omega}, and its "
             f"refinement twice as many, more than the budget of {_MAX_PANELS}"
         )

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import InvalidInputError, OscintError
 from .moments import _interval
 
 __all__ = [
@@ -35,11 +36,11 @@ _MAX_INVERSE_ITERATIONS = 200
 _PROBES = -np.cos(np.pi * np.arange(64) / 63)
 
 
-class NonMonotonePhaseError(ValueError):
+class NonMonotonePhaseError(OscintError, ValueError):
     """Phase derivative changes sign (or vanishes) inside the bracket."""
 
 
-class ComplexPhaseError(ValueError):
+class ComplexPhaseError(OscintError, ValueError):
     """g, g' or the inverse has a value with a nonzero imaginary part.
 
     ``name`` is which of them (``"g"``, ``"g'"`` or ``"inverse"``), ``x``
@@ -54,7 +55,7 @@ class ComplexPhaseError(ValueError):
         return f"{self.name} is complex at x = {self.x!r}; phases must be real"
 
 
-class InversionError(RuntimeError):
+class InversionError(OscintError, RuntimeError):
     """Numeric inversion of the phase failed to converge."""
 
 
@@ -75,7 +76,7 @@ class PhaseSpec:
     node it samples. A zero of g' strictly between those points (a
     stationary point) is not detected: the integral comes back wrong and
     no error is raised. The bracket's ends are converted to floats and
-    must be finite, with a < b, or ``ValueError("invalid interval: ...")``
+    must be finite, with a < b, or ``InvalidInputError("invalid interval: ...")``
     is raised; ``bracket`` holds that float pair. Every probe lies in the
     bracket.
     """
@@ -159,7 +160,7 @@ def numeric_inverse(
 
     Targets within 1e-12 * (1 + max|g|) of the range of g are clipped to
     it; a target at an end of the range returns that end of the bracket.
-    Raises ``ValueError`` if any target lies further outside the range,
+    Raises :class:`InvalidInputError` if any target lies further outside the range,
     :class:`NonMonotonePhaseError` if g' is not of one sign at the
     probes or g is not ordered in that sign there, and
     :class:`InversionError` if any target has not converged after 200
@@ -174,7 +175,7 @@ def numeric_inverse(
     slack = 1e-12 * (1 + max(abs(glo), abs(ghi)))
     outside = ~((glo - slack <= target) & (target <= ghi + slack))
     if np.any(outside):
-        raise ValueError(
+        raise InvalidInputError(
             f"target {target[outside][0]} outside the phase range [{glo}, {ghi}]"
         )
     ys = np.clip(target.ravel(), glo, ghi)

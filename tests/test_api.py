@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ PUBLIC = {
     "IntegralResult",
     "InversionError",
     "NonMonotonePhaseError",
+    "OscintError",
     "ParseError",
     "PhaseSpec",
     "SingularMatrixError",
@@ -51,7 +53,7 @@ INTERNAL = {
 
 
 def test_public_names():
-    assert len(oscint.__all__) == len(PUBLIC) == 21
+    assert len(oscint.__all__) == len(PUBLIC) == 22
     assert set(oscint.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(oscint, name) is not None
@@ -118,6 +120,65 @@ def test_import_does_not_load_scipy_special():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+# every error class defined in oscint, with the builtin base it keeps
+ERRORS = {
+    "OscintError": Exception,
+    "InvalidInputError": ValueError,
+    "AccuracyNotReachedError": RuntimeError,
+    "SingularMatrixError": ValueError,
+    "AmplitudeSamplingError": ValueError,
+    "ZeroFrequencyError": ValueError,
+    "SolverOverflowError": ValueError,
+    "NonMonotonePhaseError": ValueError,
+    "ComplexPhaseError": ValueError,
+    "InversionError": RuntimeError,
+    "ParseError": ValueError,
+}
+
+
+def _raised_name(node: ast.Raise):
+    """The name a ``raise`` statement raises, called or not; None if it has none."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None)
+
+
+def test_one_error_family():
+    package = Path(oscint.__file__).parent
+    modules = [
+        importlib.import_module(f"oscint.{module.name}")
+        for module in pkgutil.iter_modules(oscint.__path__)
+    ]
+    defined = {
+        name: obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type)
+        and issubclass(obj, BaseException)
+        and obj.__module__ == module.__name__
+    }
+    assert set(defined) == set(ERRORS)
+    for name, cls in defined.items():
+        builtin = [base for base in cls.__mro__ if base.__module__ == "builtins"]
+        assert issubclass(cls, oscint.OscintError) and builtin[0] is ERRORS[name], name
+    # a bare builtin raise is left only after banded.py's zero-pivot checks,
+    # where LAPACK's info can report only a defect in how oscint calls it
+    bare = [
+        (path.name, "failed with info" in ast.unparse(node))
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and _raised_name(node) in {"ValueError", "RuntimeError"}
+    ]
+    assert bare == [("banded.py", True)] * 3
+    # a leaf, so that every module can raise from it
+    assert list(_imported_modules(package / "errors.py")) == []
+    assert (
+        oscint.AccuracyNotReachedError
+        is oscint.oracle.AccuracyNotReachedError
+        is oscint.errors.AccuracyNotReachedError
+    )
 
 
 def test_one_singular_matrix_error():

@@ -9,6 +9,7 @@ from oscint.chebyshev import (
     forward_coefficients,
     gauss_lobatto_nodes,
 )
+from oscint.errors import InvalidInputError
 from oscint.oracle import physical_diff_matrix, spectral_diff_matrix, transform_matrix
 
 
@@ -41,7 +42,7 @@ class TestGaussLobattoNodes:
     def test_non_integer_degree(self, n):
         with pytest.raises(ValueError, match="degree must be an integer") as err:
             gauss_lobatto_nodes(n)
-        assert type(err.value) is ValueError
+        assert type(err.value) is InvalidInputError
 
     def test_numpy_integer_degree(self):
         x = gauss_lobatto_nodes(np.int64(4))

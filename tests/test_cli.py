@@ -10,6 +10,7 @@ import pytest
 import oscint
 from oscint import integrate_on_interval
 from oscint.cli import main
+from oscint.errors import InvalidInputError
 
 TABLE_1_OMEGA_10 = -0.07854759997855625023 - 0.04871911238563061052j
 
@@ -526,3 +527,28 @@ class TestNonFiniteAmplitude:
         assert code == 3
         assert out == ""
         assert "not finite at node x = 0.0" in err
+
+
+class TestErrorFamily:
+    """Exit 3 means an OscintError; any other exception is a defect and keeps
+    its traceback."""
+
+    ARGV = ("integrate", "--amplitude", "exp(x)", "--omega", "5", "--n", "16")
+
+    def patch_moments(self, monkeypatch, error):
+        def raise_error(omega, n):
+            raise error
+
+        monkeypatch.setattr(oscint.moments, "_real_moments", raise_error)
+
+    def test_plain_value_error_is_a_defect(self, capsys, monkeypatch):
+        self.patch_moments(monkeypatch, ValueError("a defect"))
+        with pytest.raises(ValueError, match="^a defect$") as err:
+            main(list(self.ARGV))
+        assert type(err.value) is ValueError
+        assert capsys.readouterr().err == ""
+
+    def test_invalid_input_error_is_exit_3(self, capsys, monkeypatch):
+        self.patch_moments(monkeypatch, InvalidInputError("cannot be done"))
+        code, out, err = run(capsys, *self.ARGV)
+        assert (code, out, err) == (3, "", "oscint: error: cannot be done\n")

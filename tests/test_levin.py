@@ -26,6 +26,7 @@ from oscint import (
     substitute,
 )
 from oscint.chebyshev import forward_coefficients, gauss_lobatto_nodes
+from oscint.errors import InvalidInputError
 from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
 from oscint.moments import _NODE_WEIGHTS_FROM_N, _real_moments
 from oscint.oracle import (
@@ -400,7 +401,7 @@ class TestIntegrateOnInterval:
 
         with pytest.raises(ValueError, match=f"{message} must be finite") as err:
             integrate_on_interval(f, omega, a, b, 30)
-        assert type(err.value) is ValueError
+        assert type(err.value) is InvalidInputError
         assert not sampled
 
     def test_overflowing_phase_shift_rejected_before_sampling(self):
@@ -1189,7 +1190,7 @@ def test_problem_validation():
 def test_non_finite_omega_rejected(omega):
     with pytest.raises(ValueError, match="omega must be finite") as err:
         IntegralProblem(lambda x: x, omega, 8)
-    assert type(err.value) is ValueError
+    assert type(err.value) is InvalidInputError
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from oscint import (
     get_example,
     oscillatory_reference_quadrature,
 )
+from oscint.errors import InvalidInputError
 from oscint.oracle import dense_collocation_solve
 
 
@@ -99,7 +100,7 @@ class TestReferenceQuadrature:
         message = "^invalid interval: b - a overflows"
         with pytest.raises(ValueError, match=message) as err:
             oscillatory_reference_quadrature(f, omega, scalar(-1e308), scalar(1e308))
-        assert type(err.value) is ValueError
+        assert type(err.value) is InvalidInputError
         assert not sampled
 
     @pytest.mark.parametrize(
@@ -122,7 +123,7 @@ class TestReferenceQuadrature:
         message = "invalid interval: endpoints" if name in "ab" else name
         with pytest.raises(ValueError, match=f"^{message} must be finite") as err:
             oscillatory_reference_quadrature(f, omega, a, b)
-        assert type(err.value) is ValueError
+        assert type(err.value) is InvalidInputError
         assert not sampled
 
     def test_unattainable_tolerance_rejected(self):
@@ -151,7 +152,7 @@ class TestReferenceQuadrature:
 
         with pytest.raises(ValueError, match=r"needs 1\.27e\+09 panels") as err:
             oscillatory_reference_quadrature(amplitude, 1e6, 0.0, 1e3)
-        assert type(err.value) is ValueError
+        assert type(err.value) is InvalidInputError
         assert "budget of 1048576" in str(err.value)
         assert not sampled
 
@@ -169,7 +170,7 @@ class TestReferenceQuadrature:
 
         with pytest.raises(ValueError, match="needs 255 panels") as err:
             oscillatory_reference_quadrature(amplitude, 100.0, -1.0, 1.0)
-        assert type(err.value) is ValueError
+        assert type(err.value) is InvalidInputError
         assert "budget of 256" in str(err.value)
         assert not sampled
         # 127.3 rounds up to 128 panels, whose refinement fills the budget
