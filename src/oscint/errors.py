@@ -11,7 +11,15 @@ __all__ = ["OscintError", "InvalidInputError", "AccuracyNotReachedError"]
 
 
 class OscintError(Exception):
-    """Base of every error oscint raises on purpose: the call could not be done."""
+    """Base of every error oscint raises on purpose: the call could not be done.
+
+    Every subclass survives a pickle round trip with its type, message and
+    attributes: it is rebuilt from ``args`` and ``__dict__`` without calling
+    its ``__init__``, whose arguments may differ from ``args``.
+    """
+
+    def __reduce__(self):
+        return Exception.__new__, (type(self), *self.args), self.__dict__
 
 
 class InvalidInputError(OscintError, ValueError):

@@ -16,6 +16,13 @@ each further frequency pays for the sampling, the key and the moment solve.
 From there on it acts on the real moments: node weights
 W = (1/n) diag(h) DCT-I(M), one complex FFT of length n
 (:func:`oscint.chebyshev._node_weights`), and the value is ``samples . W``.
+The moments and weights never read the samples, so there one private worker
+thread (``_worker``) computes them while the caller's thread samples and
+checks the amplitude, which is called on the caller's thread only; LAPACK
+and numpy's FFT release the GIL. A job the worker has not started, queued
+behind another call's, is cancelled and run inline, so no call waits on
+another's, and at interpreter shutdown, where no thread may start, every
+job runs inline. The values are those of the serial order, bit for bit.
 
 The amplitude sampling contract (:func:`_sample_amplitude`) and the result
 types live here too; the paper's reference solver in :mod:`oscint.levin`
@@ -28,7 +35,9 @@ import cmath
 import enum
 import math
 import operator
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -72,6 +81,22 @@ _I_POW.flags.writeable = False
 # samples that passed the finiteness check are stored, so a hit skips it. The
 # coefficients are only read, and never leave integrate_on_interval.
 _last_transform = None
+
+
+def _start_worker() -> None:
+    """Give the node-weight route a fresh executor of one worker thread.
+
+    The executor starts its thread on the first submit, so importing oscint
+    starts none. A forked child has no worker thread, and its copy of the
+    parent's executor may hold a lock taken at the fork: it starts its own.
+    """
+    global _worker
+    _worker = ThreadPoolExecutor(1, "oscint-weights")
+
+
+_start_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_worker)
 
 
 class SingularMatrixError(OscintError, ValueError):
@@ -333,10 +358,14 @@ def integrate_on_interval(
     solved, so the residual is NaN. ``n`` bounds how much of the amplitude
     is resolved.
 
-    On [-1, 1] the amplitude is called with the memoised, read-only node
-    array of :func:`oscint.chebyshev.gauss_lobatto_nodes` itself, as in
-    :func:`integrate_standard`; elsewhere with a fresh array of mapped nodes,
-    ``half*x + mid`` clipped into [a, b], so every sample lies in [a, b].
+    The amplitude is called once, on the calling thread; from degree
+    ``_NODE_WEIGHTS_FROM_N`` on, the moments and node weights are computed
+    meanwhile on the module's one worker thread, or inline where it has not
+    started them. On [-1, 1] the amplitude is called with the memoised,
+    read-only node array of :func:`oscint.chebyshev.gauss_lobatto_nodes`
+    itself, as in :func:`integrate_standard`; elsewhere with a fresh array of
+    mapped nodes, ``half*x + mid`` clipped into [a, b], so every sample lies
+    in [a, b].
     ``omega``, ``a`` and ``b`` are converted to Python floats, so that
     float32 inputs are computed in double precision; the ends must be finite,
     with a < b (:func:`_interval`), or :class:`InvalidInputError` is raised before any
@@ -368,8 +397,22 @@ def integrate_on_interval(
             last = _last_transform = (key, rotated)
         value = np.dot(last[1], _real_moments(omega_eff, n))
     else:
-        samples = _sample_amplitude(amplitude, x)
-        value = samples @ _node_weights(_real_moments(omega_eff, n), nodes)
+        # the worker computes the weights while this thread samples
+        weights = lambda: _node_weights(_real_moments(omega_eff, n), nodes)
+        try:
+            job = _worker.submit(weights)
+        except RuntimeError:  # interpreter shutdown: no thread may start
+            job = None
+        try:
+            samples = _sample_amplitude(amplitude, x)
+        finally:
+            # a job not started yet, queued behind another call's, is run
+            # here instead, so no call waits on another's; a started one is
+            # awaited, also before the amplitude's error is raised
+            inline = job is None or job.cancel()
+            if not inline:
+                wait((job,))
+        value = samples @ (weights() if inline else job.result())
     # at mid = 0, half times the phase factor is exactly half + 0j, and numpy
     # multiplies half * value as that complex number
     scale = half if mid == 0.0 else half * np.exp(1j * omega * mid)

@@ -313,8 +313,15 @@ def builtin_examples() -> dict[int, ExampleSpec]:
     }
 
 
+class _UnknownExampleError(InvalidInputError, KeyError):
+    """An example id outside the catalog; a ``KeyError`` too, as a missing
+    key of a mapping is."""
+
+    __str__ = Exception.__str__  # KeyError's would print the message quoted
+
+
 def get_example(key: int) -> ExampleSpec:
     catalog = builtin_examples()
     if key not in catalog:
-        raise KeyError(f"unknown example id {key}; available: 1..7")
+        raise _UnknownExampleError(f"unknown example id {key}; available: 1..7")
     return catalog[key]

@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -135,6 +136,32 @@ ERRORS = {
     "ComplexPhaseError": ValueError,
     "InversionError": RuntimeError,
     "ParseError": ValueError,
+    "_UnknownExampleError": ValueError,  # oracle.get_example's; a KeyError too
+}
+
+# one instance of each error class oscint defines, with the arguments it is
+# raised with
+ERROR_INSTANCES = {
+    "OscintError": lambda: oscint.OscintError("could not"),
+    "InvalidInputError": lambda: oscint.errors.InvalidInputError(
+        "invalid interval: need a < b, got [1.0, -1.0]"
+    ),
+    "AccuracyNotReachedError": lambda: oscint.AccuracyNotReachedError(
+        0.25 - 1.5j, 3.5e-9
+    ),
+    "SingularMatrixError": lambda: oscint.SingularMatrixError(
+        "zero pivot in moment recurrence row 4", 4
+    ),
+    "AmplitudeSamplingError": lambda: oscint.AmplitudeSamplingError(0.5),
+    "ZeroFrequencyError": lambda: oscint.ZeroFrequencyError("omega = 0"),
+    "SolverOverflowError": lambda: oscint.SolverOverflowError("overflow"),
+    "NonMonotonePhaseError": lambda: oscint.NonMonotonePhaseError("g' = 0"),
+    "ComplexPhaseError": lambda: oscint.phase.ComplexPhaseError("g'", 0.25),
+    "InversionError": lambda: oscint.InversionError("no convergence"),
+    "ParseError": lambda: oscint.ParseError(3, ("number", "'('"), "'*'"),
+    "_UnknownExampleError": lambda: oscint.oracle._UnknownExampleError(
+        "unknown example id 9; available: 1..7"
+    ),
 }
 
 
@@ -179,6 +206,28 @@ def test_one_error_family():
         is oscint.oracle.AccuracyNotReachedError
         is oscint.errors.AccuracyNotReachedError
     )
+
+
+def test_every_error_class_has_a_pickle_case():
+    exported = {
+        name
+        for name in oscint.__all__
+        if isinstance(getattr(oscint, name), type)
+        and issubclass(getattr(oscint, name), BaseException)
+    }
+    assert exported <= set(ERROR_INSTANCES) == set(ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_INSTANCES))
+@pytest.mark.parametrize("protocol", [0, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL])
+def test_errors_survive_a_pickle_round_trip(name, protocol):
+    # an error raised in a worker process reaches its caller pickled
+    error = ERROR_INSTANCES[name]()
+    copy = pickle.loads(pickle.dumps(error, protocol))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert copy.args == error.args
+    assert vars(copy) == vars(error)
 
 
 def test_one_singular_matrix_error():

@@ -5,7 +5,10 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -25,10 +28,10 @@ from oscint import (
     integrate_standard,
     substitute,
 )
-from oscint.chebyshev import forward_coefficients, gauss_lobatto_nodes
+from oscint.chebyshev import _node_weights, forward_coefficients, gauss_lobatto_nodes
 from oscint.errors import InvalidInputError
 from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
-from oscint.moments import _NODE_WEIGHTS_FROM_N, _real_moments
+from oscint.moments import _NODE_WEIGHTS_FROM_N, _real_moments, _sample_amplitude
 from oscint.oracle import (
     dense_collocation_solve,
     oscillatory_reference_quadrature,
@@ -937,6 +940,208 @@ print(growth * (1 if sys.platform == "darwin" else 1024))  # bytes
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         assert int(out) < 20 * 2**20
+
+
+def node_weight_value(amplitude, omega, n):
+    """The node-weight route's value on [-1, 1], computed on this thread alone:
+    ``samples @ _node_weights(_real_moments(omega, n), nodes)``."""
+    nodes = gauss_lobatto_nodes(n)
+    samples = _sample_amplitude(amplitude, nodes)
+    return complex(samples @ _node_weights(_real_moments(omega, n), nodes))
+
+
+class TestOverlappedRoute:
+    """From degree ``_NODE_WEIGHTS_FROM_N`` on, one worker thread computes the
+    node weights while the caller's thread samples the amplitude; a job not
+    started yet is run inline. Every value equals the serial one bit for bit.
+    """
+
+    ALPHA = 0.9 - 0.6j
+
+    def amplitude(self, x):
+        return np.exp(self.ALPHA * x)
+
+    def test_job_runs_on_the_worker_and_the_amplitude_on_the_caller(
+        self, monkeypatch
+    ):
+        import oscint.moments as moments_mod
+
+        started = threading.Event()
+        threads = {}
+        real_moments = moments_mod._real_moments
+
+        def moments_on(omega, n):
+            threads["moments"] = threading.current_thread()
+            started.set()
+            return real_moments(omega, n)
+
+        def amplitude(x):
+            threads["amplitude"] = threading.current_thread()
+            assert started.wait(60)  # sample only once the job has started
+            return self.amplitude(x)
+
+        monkeypatch.setattr(moments_mod, "_real_moments", moments_on)
+        value = integrate_on_interval(amplitude, 3000.0, -1.0, 1.0, 2048).value
+        assert threads["amplitude"] is threading.main_thread()
+        assert threads["moments"] is not threading.main_thread()
+        monkeypatch.undo()
+        assert bits(value) == bits(node_weight_value(self.amplitude, 3000.0, 2048))
+
+    def test_nested_integral(self):
+        inner_values = []
+
+        def outer(x):
+            # its job queues behind the outer call's job, or runs inline
+            inner = integrate_on_interval(self.amplitude, 5000.0, -1.0, 1.0, 2048)
+            inner_values.append(inner.value)
+            return np.cos(x) * inner.value
+
+        value = integrate_on_interval(outer, 4000.0, -1.0, 1.0, 3000).value
+        inner = node_weight_value(self.amplitude, 5000.0, 2048)
+        assert [bits(v) for v in inner_values] == [bits(inner)]
+        assert bits(value) == bits(node_weight_value(outer, 4000.0, 3000))
+
+    def test_four_caller_threads(self):
+        cases = [
+            (lambda x, k=k: np.exp((self.ALPHA + 0.1 * k) * x), 1500.0 * (k + 1), n)
+            for k, n in enumerate([1024, 2048, 4099, 16414])
+        ]
+        start = threading.Barrier(len(cases))
+
+        def call(amplitude, omega, n):
+            start.wait(60)
+            return [
+                integrate_on_interval(amplitude, omega, -1.0, 1.0, n).value
+                for _ in range(5)
+            ]
+
+        # more callers than cores, switching often, so that jobs queue and
+        # are cancelled and run inline as well as run on the worker
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(cases)) as callers:
+                values = [callers.submit(call, *case) for case in cases]
+                values = [job.result(timeout=120) for job in values]
+        finally:
+            sys.setswitchinterval(interval)
+        for case, got in zip(cases, values):
+            assert [bits(v) for v in got] == [bits(node_weight_value(*case))] * 5
+
+    def test_busy_worker_runs_the_job_inline(self, monkeypatch):
+        import oscint.moments as moments_mod
+
+        threads = []
+        real_moments = moments_mod._real_moments
+
+        def moments_on(omega, n):
+            threads.append(threading.current_thread())
+            return real_moments(omega, n)
+
+        monkeypatch.setattr(moments_mod, "_real_moments", moments_on)
+        release = threading.Event()
+        busy = moments_mod._worker.submit(release.wait, 60)
+        try:
+            value = integrate_on_interval(self.amplitude, 3000.0, -1.0, 1.0, 2048).value
+            assert not busy.done()  # returned while the worker was still busy
+        finally:
+            release.set()
+            assert busy.result(timeout=60)
+        assert threads == [threading.main_thread()]
+        monkeypatch.undo()
+        assert bits(value) == bits(node_weight_value(self.amplitude, 3000.0, 2048))
+
+    def test_amplitude_error_waits_for_the_running_job(self, monkeypatch):
+        import oscint.moments as moments_mod
+
+        started, finished = threading.Event(), threading.Event()
+        real_moments = moments_mod._real_moments
+
+        def slow_moments(omega, n):
+            started.set()
+            time.sleep(0.05)
+            m = real_moments(omega, n)
+            finished.set()
+            return m
+
+        class AmplitudeFailed(Exception):
+            pass
+
+        def failing(x):
+            assert started.wait(60)  # the job is running
+            raise AmplitudeFailed
+
+        monkeypatch.setattr(moments_mod, "_real_moments", slow_moments)
+        with pytest.raises(AmplitudeFailed):
+            integrate_on_interval(failing, 3000.0, -1.0, 1.0, 2048)
+        # the job finished before the error left the call
+        assert finished.is_set()
+        monkeypatch.undo()
+        value = integrate_on_interval(self.amplitude, 3000.0, -1.0, 1.0, 2048).value
+        assert bits(value) == bits(node_weight_value(self.amplitude, 3000.0, 2048))
+
+    def test_amplitude_error_wins_over_a_moment_error(self, monkeypatch):
+        import oscint.moments as moments_mod
+
+        def singular(dl, d, du, b, *overwrite):
+            return dl, d, du, b, 3
+
+        monkeypatch.setattr(moments_mod, "dgtsv", singular)
+        # |omega| <= n: the boundary-value solve, which now fails
+        with pytest.raises(SingularMatrixError) as err:
+            integrate_on_interval(self.amplitude, 5.0, -1.0, 1.0, 2048)
+        assert err.value.index == 4
+        with pytest.raises(AmplitudeSamplingError):
+            integrate_on_interval(lambda x: np.full_like(x, np.nan), 5.0, -1.0, 1.0, 2048)
+
+    # -W error: any warning but the one silenced around os.fork fails the run
+    PROCESS_SCRIPT = """
+import atexit, os, threading, warnings
+import numpy as np
+import oscint
+assert threading.active_count() == 1, threading.enumerate()
+from oscint import integrate_on_interval
+from oscint.chebyshev import _node_weights, gauss_lobatto_nodes
+from oscint.moments import _real_moments
+
+f = lambda x: np.exp((0.9 - 0.6j) * x)
+
+def integrates(omega, n):
+    nodes = gauss_lobatto_nodes(n)
+    serial = complex(f(nodes) @ _node_weights(_real_moments(omega, n), nodes))
+    return integrate_on_interval(f, omega, -1.0, 1.0, n).value == serial
+
+assert all(integrates(3000.0 + k, 2048) for k in range(5))
+assert threading.active_count() <= 2, threading.enumerate()
+print("threads", threading.active_count())
+if hasattr(os, "fork"):
+    with warnings.catch_warnings():
+        # Python 3.12 warns that forking a process with threads may deadlock
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            # with a worker thread of its own, not the parent's dead one
+            ok = integrates(1.5e5, 50000) and threading.active_count() == 2
+            code = 0 if ok else 2
+        finally:
+            os._exit(code)
+    print("child", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+else:
+    print("child", 0)
+atexit.register(lambda: print("atexit", integrates(3000.0, 2048)))
+"""
+
+    def test_import_fork_and_exit(self):
+        src = os.path.dirname(os.path.dirname(oscint.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-c", self.PROCESS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n") == ["threads 2", "child 0", "atexit True", ""]
 
 
 class TestAmplitudeDtype:

@@ -5,6 +5,7 @@ from oscint import (
     AccuracyNotReachedError,
     AmplitudeSamplingError,
     IntegralProblem,
+    OscintError,
     builtin_examples,
     get_example,
     oscillatory_reference_quadrature,
@@ -261,6 +262,13 @@ class TestExampleCatalog:
     def test_unknown_key(self):
         with pytest.raises(KeyError):
             get_example(8)
+
+    def test_unknown_key_is_an_oscint_error(self):
+        with pytest.raises(OscintError) as err:
+            get_example(9)
+        assert isinstance(err.value, InvalidInputError)
+        # the message as it was, not quoted as a KeyError's would be
+        assert str(err.value) == "unknown example id 9; available: 1..7"
 
     def test_tabulated_values_match_quadrature(self):
         for key, omega in ((1, 10.0), (2, 10.0), (7, 20.0)):
