@@ -139,12 +139,27 @@ class _Parser:
         return result
 
     def chain(self, operand, ops: str):
-        """Left-associative ``operand (op operand)*``."""
-        result = operand()
+        """Left-associative ``operand (op operand)*``, evaluated by one
+        closure that folds the operands left to right in a loop, so that a
+        long chain does not nest a call per operator.
+        """
+        text, first = operand()
+        steps = []  # (ufunc, right operand)
         while (op := self.peek()) in ops:
             self.pos += 1
-            result = _apply(op, result, operand())
-        return result
+            right_text, g = operand()
+            text = f"({text}{op}{right_text})"
+            steps.append((_OPERATORS[op], g))
+        if not steps:
+            return text, first
+
+        def fold(x):
+            y = first(x)
+            for ufunc, g in steps:
+                y = ufunc(y, g(x))
+            return y
+
+        return text, fold
 
     def expr(self):
         return self.chain(self.term, "+-")
@@ -195,5 +210,14 @@ class _Parser:
 
 
 def parse_amplitude(src: str) -> AmplitudeExpr:
-    """Parse an amplitude expression in the variable x."""
-    return AmplitudeExpr(src, *_Parser(src).parse())
+    """Parse an amplitude expression in the variable x.
+
+    Nesting too deep for Python's recursion limit, such as a few hundred
+    parentheses, raises :class:`ParseError` at the token reached.
+    """
+    parser = _Parser(src)
+    try:
+        return AmplitudeExpr(src, *parser.parse())
+    except RecursionError:
+        _, text, offset = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise ParseError(offset, ("less nesting",), text or "end of input") from None

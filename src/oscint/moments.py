@@ -7,22 +7,14 @@ interpolant f_n against the moments M_k = i^k m_k of exp(i*omega*x), whose
 real parts m_k (:func:`_real_moments`) cost one real LAPACK solve per call
 whose omega-independent row sequences are read from a module-level table
 (:func:`_moment_rows`). Discrete orthogonality lets that sum run from
-either side. Below degree ``_NODE_WEIGHTS_FROM_N`` it acts on the
-coefficients, summed as ``(c * i^k) . m``: one FFT of length 2n (real for
-real samples) whose coefficients the kernel memoises, already multiplied by
-i^k, for the last samples (``_last_transform``). A sweep over omega at one
-amplitude therefore transforms, rotates and checks its samples once, and
-each further frequency pays for the sampling, the key and the moment solve.
-From there on it acts on the real moments: node weights
-W = (1/n) diag(h) DCT-I(M), one complex FFT of length n
-(:func:`oscint.chebyshev._node_weights`), and the value is ``samples . W``.
-The moments and weights never read the samples, so there one private worker
-thread (``_worker``) computes them while the caller's thread samples and
-checks the amplitude, which is called on the caller's thread only; LAPACK
-and numpy's FFT release the GIL. A job the worker has not started, queued
-behind another call's, is cancelled and run inline, so no call waits on
-another's, and at interpreter shutdown, where no thread may start, every
-job runs inline. The values are those of the serial order, bit for bit.
+either side, and the kernel is a composition of one stage per side. Below
+degree ``_NODE_WEIGHTS_FROM_N``, :func:`_coefficients` gives the
+coefficients already multiplied by i^k, memoised for the last samples, and
+the value is ``(c * i^k) . m``. From there on, :func:`_node_weight_sum`
+sums the samples against node weights built from the real moments, which a
+worker thread computes while the caller's thread samples. Either way the
+amplitude is called on the caller's thread only, and the values are those
+of the serial order, bit for bit.
 
 The amplitude sampling contract (:func:`_sample_amplitude`) and the result
 types live here too; the paper's reference solver in :mod:`oscint.levin`
@@ -72,14 +64,7 @@ _NAN = float("nan")  # the residual of a call that solves no system in c
 _I_POW = np.resize([1, 1j, -1, -1j], _NODE_WEIGHTS_FROM_N)
 _I_POW.flags.writeable = False
 
-# The c . M route's last transform, as (key, c * i^k) with key = (dtype, exact
-# sample bytes); one entry, so a sweep over omega at one amplitude and n
-# transforms its samples once. Samples are float64 or complex128, whose bytes
-# are their values: -0.0 and 0.0, or real and complex samples of equal value,
-# are different keys. The key is taken after sampling, so an integral nested
-# in the amplitude cannot replace the entry under the outer call. Only
-# samples that passed the finiteness check are stored, so a hit skips it. The
-# coefficients are only read, and never leave integrate_on_interval.
+# the c . M route's last transform, as (key, c * i^k): see _coefficients
 _last_transform = None
 
 
@@ -147,12 +132,20 @@ def _cast_samples(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
     """Amplitude at the nodes: float64 if its values are real, else complex128.
 
     Real samples stay real so that :func:`forward_coefficients` takes one
-    real FFT instead of a complex one. Nothing is checked.
+    real FFT instead of a complex one. A return of another shape is
+    broadcast to the nodes' (a scalar, say), or raises
+    :class:`InvalidInputError` naming both shapes where it cannot be. The
+    values are not checked.
     """
     fv = np.asarray(amplitude(nodes))
     dtype = float if fv.dtype.kind in "biuf" else complex
     if fv.shape != nodes.shape:
-        return np.broadcast_to(fv, nodes.shape).astype(dtype)
+        try:
+            return np.broadcast_to(fv, nodes.shape).astype(dtype)
+        except ValueError:
+            raise InvalidInputError(
+                f"amplitude returned shape {fv.shape}, expected {nodes.shape}"
+            ) from None
     return fv.astype(dtype, copy=False)
 
 
@@ -329,6 +322,68 @@ def _real_moments(omega: float, n: int) -> np.ndarray:
     return m[: n + 1]
 
 
+def _coefficients(amplitude: Amplitude, x: np.ndarray, n: int) -> np.ndarray:
+    """``forward_coefficients(samples) * i^k``, k = 0..n, of the amplitude's
+    samples at ``x``, read-only: the c . M route's coefficients.
+
+    One FFT of length 2n (real for real samples), kept for the last samples
+    in ``_last_transform`` as (key, coefficients) with key = (dtype, exact
+    sample bytes). A sweep over omega at one amplitude and n therefore
+    transforms, rotates and checks its samples once, and each further
+    frequency pays for the sampling, the key and the moment solve. Samples
+    are float64 or complex128 (:func:`_cast_samples`), whose bytes are their
+    values: -0.0 and 0.0, or real and complex samples of equal value, are
+    different keys. The key is taken after sampling, so an integral nested in
+    the amplitude cannot replace the entry under the outer call. Only samples
+    that passed :func:`_check_finite` are stored, so a hit skips the check
+    and returns the stored array itself.
+    """
+    global _last_transform
+    samples = _cast_samples(amplitude, x)
+    key = (samples.dtype, samples.tobytes())
+    last = _last_transform
+    if last is None or last[0] != key:
+        _check_finite(samples, x)
+        rotated = forward_coefficients(samples) * _I_POW[: n + 1]
+        rotated.flags.writeable = False
+        last = _last_transform = (key, rotated)
+    return last[1]
+
+
+def _node_weight_sum(amplitude: Amplitude, x: np.ndarray, nodes: np.ndarray,
+                     omega_eff: float) -> complex:
+    """``samples . W(omega_eff, n)``, n = len(nodes) - 1: the amplitude's
+    samples at ``x`` (:func:`_sample_amplitude`) against the node weights
+    W = (1/n) diag(h) DCT-I(M) of :func:`oscint.chebyshev._node_weights`,
+    one complex FFT of length n that acts on the real moments.
+
+    The moments and weights never read the samples, so the module's one
+    worker thread (``_worker``) computes them while this thread samples and
+    checks the amplitude, which is called on the caller's thread only;
+    LAPACK and numpy's FFT release the GIL. A job the worker has not
+    started, queued behind another call's, is cancelled and run inline, so
+    no call waits on another's, and at interpreter shutdown, where no thread
+    may start, the job runs inline. The value is that of the serial order,
+    bit for bit.
+    """
+    # the worker computes the weights while this thread samples
+    weights = lambda: _node_weights(_real_moments(omega_eff, len(nodes) - 1), nodes)
+    try:
+        job = _worker.submit(weights)
+    except RuntimeError:  # interpreter shutdown: no thread may start
+        job = None
+    try:
+        samples = _sample_amplitude(amplitude, x)
+    finally:
+        # a job not started yet, queued behind another call's, is run
+        # here instead, so no call waits on another's; a started one is
+        # awaited, also before the amplitude's error is raised
+        inline = job is None or job.cancel()
+        if not inline:
+            wait((job,))
+    return samples @ (weights() if inline else job.result())
+
+
 def integrate_on_interval(
     amplitude: Amplitude,
     omega: float,
@@ -345,18 +400,14 @@ def integrate_on_interval(
     on the n+1 Gauss-Lobatto nodes against the moments of T_k: the Levin
     value, which is the Filon-Clenshaw-Curtis rule of Dominguez, Graham &
     Smyshlyaev (IMA J. Numer. Anal. 31(4), 2011). Below degree
-    ``_NODE_WEIGHTS_FROM_N`` it is summed that way, as ``(c * i^k) . m``
-    with the real moments m, through :func:`forward_coefficients` of the
-    samples unless they repeat the last samples of that route bit for bit,
-    in which case they are neither checked for finiteness nor transformed
-    again (they passed the check when they were stored); from there on it
-    is summed as ``samples . W(w, n)`` with the node weights of
-    :func:`oscint.chebyshev._node_weights`, whose one transform, a complex
-    FFT of length n, acts on the real moments. The path
-    says how the moments were computed: ``DIRECT_TRIANGULAR`` where
-    |w| > n and ``QUADRATURE`` elsewhere, w = 0 included. No system in c is
-    solved, so the residual is NaN. ``n`` bounds how much of the amplitude
-    is resolved.
+    ``_NODE_WEIGHTS_FROM_N`` it is summed from the coefficients, as
+    ``(c * i^k) . m`` with the real moments m (:func:`_coefficients`, which
+    transforms samples that repeat the last ones bit for bit only once);
+    from there on from the samples, against node weights
+    (:func:`_node_weight_sum`). The path says how the moments were
+    computed: ``DIRECT_TRIANGULAR`` where |w| > n and ``QUADRATURE``
+    elsewhere, w = 0 included. No system in c is solved, so the residual is
+    NaN. ``n`` bounds how much of the amplitude is resolved.
 
     The amplitude is called once, on the calling thread; from degree
     ``_NODE_WEIGHTS_FROM_N`` on, the moments and node weights are computed
@@ -365,13 +416,14 @@ def integrate_on_interval(
     read-only node array of :func:`oscint.chebyshev.gauss_lobatto_nodes`
     itself, as in :func:`integrate_standard`; elsewhere with a fresh array of
     mapped nodes, ``half*x + mid`` clipped into [a, b], so every sample lies
-    in [a, b].
+    in [a, b]. A non-finite sample raises :class:`AmplitudeSamplingError`
+    naming its node, and a return that does not broadcast to the nodes'
+    shape raises :class:`InvalidInputError` (:func:`_cast_samples`).
     ``omega``, ``a`` and ``b`` are converted to Python floats, so that
     float32 inputs are computed in double precision; the ends must be finite,
     with a < b (:func:`_interval`), or :class:`InvalidInputError` is raised before any
     sample is taken.
     """
-    global _last_transform
     omega = float(omega)  # numpy >= 2 keeps float32 * float in float32 (NEP 50)
     a, b, half, mid = _interval(a, b)
     check_degree(n, 2)
@@ -388,31 +440,9 @@ def integrate_on_interval(
     # on [-1, 1] the map is the identity to the bit: the nodes hold no -0.0
     x = nodes if half == 1.0 and mid == 0.0 else np.clip(half * nodes + mid, a, b)
     if n < _NODE_WEIGHTS_FROM_N:
-        samples = _cast_samples(amplitude, x)
-        key = (samples.dtype, samples.tobytes())
-        last = _last_transform
-        if last is None or last[0] != key:
-            _check_finite(samples, x)
-            rotated = forward_coefficients(samples) * _I_POW[: n + 1]
-            last = _last_transform = (key, rotated)
-        value = np.dot(last[1], _real_moments(omega_eff, n))
+        value = np.dot(_coefficients(amplitude, x, n), _real_moments(omega_eff, n))
     else:
-        # the worker computes the weights while this thread samples
-        weights = lambda: _node_weights(_real_moments(omega_eff, n), nodes)
-        try:
-            job = _worker.submit(weights)
-        except RuntimeError:  # interpreter shutdown: no thread may start
-            job = None
-        try:
-            samples = _sample_amplitude(amplitude, x)
-        finally:
-            # a job not started yet, queued behind another call's, is run
-            # here instead, so no call waits on another's; a started one is
-            # awaited, also before the amplitude's error is raised
-            inline = job is None or job.cancel()
-            if not inline:
-                wait((job,))
-        value = samples @ (weights() if inline else job.result())
+        value = _node_weight_sum(amplitude, x, nodes, omega_eff)
     # at mid = 0, half times the phase factor is exactly half + 0j, and numpy
     # multiplies half * value as that complex number
     scale = half if mid == 0.0 else half * np.exp(1j * omega * mid)

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError, OscintError
-from .moments import _interval
+from .moments import _cast_samples, _interval
 
 __all__ = [
     "PhaseSpec",
@@ -102,17 +102,24 @@ class _ProbeTable(NamedTuple):
 def _values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
     """``fn(x)`` as a float array of ``x``'s shape (scalar returns broadcast).
 
-    A value with a nonzero imaginary part raises :class:`ComplexPhaseError`
-    naming ``name`` and the first such x, where a cast would drop it.
+    A return that does not broadcast to ``x``'s shape raises
+    :class:`InvalidInputError` naming ``name`` and both shapes. A value with
+    a nonzero imaginary part raises :class:`ComplexPhaseError` naming
+    ``name`` and the first such x, where a cast would drop it.
     """
     v = np.asarray(fn(x))
+    if v.shape != x.shape:
+        try:
+            v = np.broadcast_to(v, x.shape)
+        except ValueError:
+            raise InvalidInputError(
+                f"phase function {name} returned shape {v.shape}, expected {x.shape}"
+            ) from None
     if v.dtype.kind == "c":
         if v.imag.any():
-            complex_at = np.broadcast_to(v.imag != 0, x.shape)
-            raise ComplexPhaseError(name, float(x[complex_at][0]))
+            raise ComplexPhaseError(name, float(x[v.imag != 0][0]))
         v = v.real
-    v = v.astype(float, copy=False)
-    return v if v.shape == x.shape else np.broadcast_to(v, x.shape)
+    return v.astype(float, copy=False)
 
 
 def _probe_table(phase: PhaseSpec) -> _ProbeTable:
@@ -229,7 +236,9 @@ def substitute(
     preimage is zero or of the wrong sign. A zero of g' strictly between
     the probes and the preimages is not detected: the transformed amplitude
     is singular there, and no error is raised. Its values are real where
-    the amplitude's are.
+    the amplitude's are. The amplitude is sampled at the preimages as the
+    kernel samples it (:func:`oscint.moments._cast_samples`): a return that
+    does not broadcast to their shape raises :class:`InvalidInputError`.
     """
     a, b = phase.bracket
     table = _probe_table(phase)
@@ -249,7 +258,7 @@ def substitute(
                 f"phase derivative is {dg[wrong][0]} at x = {x[wrong][0]}, "
                 f"not of the sign it has on the probes of [{a}, {b}]"
             )
-        out = sign * np.asarray(amplitude(x)) / dg
+        out = sign * _cast_samples(amplitude, x) / dg
         return out[0] if y.ndim == 0 else out
 
     return transformed, (float(table.g[0]), float(table.g[-1])), omega

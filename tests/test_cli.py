@@ -35,6 +35,19 @@ class TestIntegrate:
         assert np.isnan(float(fields[3]))
         assert fields[4] == "30"
 
+    def test_long_flat_sum(self, capsys):
+        # 5,000 operators fold in one loop, not one nested call each
+        code, out, _ = run(
+            capsys,
+            "integrate", "--amplitude", "+".join(["x"] * 5001), "--omega", "10",
+            "--n", "30",
+        )
+        assert code == 0
+        fields = out.split()
+        value = complex(float(fields[0]), float(fields[1]))
+        expected = integrate_on_interval(lambda x: 5001 * x, 10.0, -1.0, 1.0, 30)
+        assert abs(value - expected.value) <= 1e-13 * abs(expected.value)
+
     def test_direct_path_reported(self, capsys):
         code, out, _ = run(
             capsys,
@@ -416,6 +429,17 @@ class TestUsageErrors:
             *(part for item in argv.items() for part in item),
         )
         assert f"argument {flag}: bad expression '1+': at offset 2" in err
+
+    @pytest.mark.parametrize(
+        "src", ["(" * 300 + "x" + ")" * 300, "-" * 2000], ids=["parentheses", "minuses"]
+    )
+    def test_expression_too_deep_to_parse(self, capsys, src):
+        # past Python's recursion limit: a usage error, not a traceback
+        err = usage_error(
+            capsys, "integrate", f"--amplitude={src}", "--omega", "5", "--n", "8"
+        )
+        assert "argument --amplitude: bad expression" in err
+        assert "expected less nesting" in err
 
     @pytest.mark.parametrize("key", [1, 2, 7])
     def test_alpha_on_parameterless_entry(self, capsys, key):

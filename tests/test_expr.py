@@ -44,6 +44,15 @@ class TestOperators:
     def test_unary_minus_chains(self):
         assert evaluate("--3", 0.0) == 3
 
+    def test_long_chains_fold_left_to_right(self):
+        # far past Python's recursion limit: each chain is one loop
+        x = np.array([0.5, -1.25, 3.0])
+        assert (evaluate("+".join(["x"] * 5001), x) == 5001 * x).all()
+        assert (evaluate("x" + "-x" * 5000, x) == -4999 * x).all()
+        assert evaluate("1" + "*2/2" * 3000, 0.0) == 1
+        assert parse_amplitude("1-x+2").to_string() == "((1.0-x)+2.0)"
+        assert parse_amplitude("x/2*3").to_string() == "((x/2.0)*3.0)"
+
     def test_complex_arithmetic(self):
         assert evaluate("i*i", 0.0) == -1
         assert evaluate("exp(i*pi)", 0.0) == pytest.approx(-1, abs=1e-15)
@@ -149,6 +158,15 @@ class TestErrors:
     def test_dangling_operator(self):
         with pytest.raises(ParseError):
             parse_amplitude("1 +")
+
+    @pytest.mark.parametrize(
+        "src", ["(" * 300 + "x" + ")" * 300, "-" * 2000 + "x", "sin(" * 300 + "x"]
+    )
+    def test_nesting_past_the_recursion_limit(self, src):
+        with pytest.raises(ParseError) as err:
+            parse_amplitude(src)
+        assert err.value.expected == ("less nesting",)
+        assert 0 < err.value.offset < len(src)
 
 
 IDENTIFIERS = (

@@ -31,7 +31,12 @@ from oscint import (
 from oscint.chebyshev import _node_weights, forward_coefficients, gauss_lobatto_nodes
 from oscint.errors import InvalidInputError
 from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
-from oscint.moments import _NODE_WEIGHTS_FROM_N, _real_moments, _sample_amplitude
+from oscint.moments import (
+    _NODE_WEIGHTS_FROM_N,
+    _coefficients,
+    _real_moments,
+    _sample_amplitude,
+)
 from oscint.oracle import (
     dense_collocation_solve,
     oscillatory_reference_quadrature,
@@ -1167,8 +1172,9 @@ class TestAmplitudeDtype:
             lambda x: np.ones_like(x, dtype=int),
             lambda x: np.ones_like(x, dtype=np.float32),
             lambda x: np.True_,
+            lambda x: np.ones(1),
         ],
-        ids=["float", "int", "int-array", "float32-array", "bool"],
+        ids=["float", "int", "int-array", "float32-array", "bool", "one-element"],
     )
     @pytest.mark.parametrize("omega", [5.0, 50.0])
     def test_scalar_and_integer_amplitudes_broadcast(self, amplitude, omega):
@@ -1216,6 +1222,33 @@ class TestAmplitudeDtype:
         real = self._substituted(lambda x: 1 / (x**2 + 1))
         as_complex = self._substituted(lambda x: (1 / (x**2 + 1)).astype(complex))
         assert abs(real.value - as_complex.value) <= 1e-14 * abs(as_complex.value)
+
+
+class TestWrongShapedAmplitude:
+    """A return that does not broadcast to the nodes' shape raises
+    InvalidInputError naming both shapes, wherever the amplitude is sampled."""
+
+    @pytest.mark.parametrize(
+        "amplitude,message",
+        [
+            (lambda x: x[:, None], r"\((\d+), 1\), expected \(\1,\)"),
+            (lambda x: np.ones(3), r"\(3,\), expected \(\d+,\)"),
+        ],
+        ids=["column", "three"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda f: integrate_on_interval(f, 5.0, 0.0, 2.0, 16),
+            lambda f: integrate_on_interval(f, 5.0, 0.0, 2.0, 2048),
+            lambda f: integrate_standard(IntegralProblem(f, 5.0, 16)),
+            lambda f: oscillatory_reference_quadrature(f, 5.0, 0.0, 2.0),
+        ],
+        ids=["kernel-16", "kernel-2048", "standard", "reference"],
+    )
+    def test_raises_naming_both_shapes(self, entry, amplitude, message):
+        with pytest.raises(InvalidInputError, match=f"^amplitude returned shape {message}$"):
+            entry(amplitude)
 
 
 def exp_integral(alpha, omega, a, b):
@@ -1319,6 +1352,21 @@ class TestTransformMemo:
             monkeypatch.setattr("oscint.moments._last_transform", None)
             fresh = self._integrate_samples(samples).value
             assert bits(value) == bits(fresh)
+        # the coefficient stage returns c * i^k bit for bit on the same misses
+        # and hits; a hit returns the stored, read-only array itself
+        monkeypatch.setattr("oscint.moments._last_transform", None)
+        stored = []
+        for samples in sequence:
+            n = len(samples) - 1
+            c = _coefficients(lambda x: samples, gauss_lobatto_nodes(n), n)
+            expected = forward_coefficients(samples) * i_pow(n)
+            assert c.dtype == complex and c.tobytes() == expected.tobytes()
+            assert not c.flags.writeable
+            stored.append(c)
+        hits = [c is previous for previous, c in zip(stored, stored[1:])]
+        assert hits == [True, False, False, True, False, False]
+        with pytest.raises(ValueError, match="read-only"):
+            stored[-1][0] = 0.0
 
     def test_samples_mutated_after_the_call_are_a_miss(self, monkeypatch):
         f = np.linspace(-1.0, 2.0, 7)
@@ -1382,6 +1430,15 @@ class TestTransformMemo:
         # per outer integral: one real inner transform per node (the second
         # frequency hits), then the outer one and the closed form's
         assert calls == {"rfft": len(omegas) * 25, "fft": len(omegas) * 2}
+        # the inner integrals replace the memo while the outer samples are
+        # taken; the outer coefficients are still those of its own samples
+        import oscint.moments as moments_mod
+
+        x = gauss_lobatto_nodes(24)
+        expected = forward_coefficients(inner(x)) * i_pow(24)
+        c = _coefficients(inner, x, 24)
+        assert c.tobytes() == expected.tobytes()
+        assert c is moments_mod._last_transform[1]
 
 
 def test_problem_validation():

@@ -8,6 +8,7 @@ from oscint import (
     integrate_on_interval,
     substitute,
 )
+from oscint.errors import InvalidInputError
 from oscint.phase import ComplexPhaseError, numeric_inverse
 
 
@@ -168,6 +169,60 @@ class TestComplexPhase:
             f, (lo, hi), w = substitute(amp, phase, 10.0)
             values.append(integrate_on_interval(f, w, lo, hi, 90).value)
         assert values[0] == values[1]
+
+
+# returns that do not broadcast to their argument's shape
+WRONG_SHAPES = {"column": lambda x: x[:, None], "three": lambda x: np.ones(3)}
+
+
+class TestWrongShapedOutput:
+    """A wrong-shaped return raises InvalidInputError naming the function and
+    both shapes, where numpy would raise a bare ValueError."""
+
+    @pytest.mark.parametrize("kind", WRONG_SHAPES)
+    @pytest.mark.parametrize("name", ["g", "g'"])
+    def test_phase_function_at_the_probes(self, name, kind):
+        wrong = WRONG_SHAPES[kind]
+        real = sin_shift_phase()
+        phase = PhaseSpec(
+            g=wrong if name == "g" else real.g,
+            g_prime=wrong if name == "g'" else real.g_prime,
+            bracket=real.bracket,
+        )
+        shape = wrong(np.zeros(64)).shape
+        for call in (
+            lambda: substitute(np.exp, phase, 5.0),
+            lambda: numeric_inverse(phase, 0.5),
+        ):
+            with pytest.raises(InvalidInputError) as err:
+                call()
+            assert str(err.value) == (
+                f"phase function {name} returned shape {shape}, expected (64,)"
+            )
+
+    @pytest.mark.parametrize("kind", WRONG_SHAPES)
+    def test_inverse_and_amplitude_at_the_nodes(self, kind):
+        wrong = WRONG_SHAPES[kind]
+        real = sin_shift_phase()
+        shape = wrong(np.zeros(91)).shape
+        with_inverse = PhaseSpec(real.g, real.g_prime, real.bracket, inverse=wrong)
+        for name, amplitude, phase in (
+            ("phase function inverse", np.exp, with_inverse),
+            ("amplitude", wrong, real),
+        ):
+            f, (lo, hi), w = substitute(amplitude, phase, 5.0)
+            with pytest.raises(InvalidInputError) as err:
+                integrate_on_interval(f, w, lo, hi, 90)
+            assert str(err.value) == f"{name} returned shape {shape}, expected (91,)"
+
+    def test_scalar_returns_still_broadcast(self):
+        real = sin_shift_phase()
+        one = PhaseSpec(g=lambda x: x, g_prime=lambda x: 1.0, bracket=(-1.0, 1.0))
+        f, _, _ = substitute(lambda x: 2.0, one, 5.0)
+        assert f(np.array([0.0, 0.5])).tolist() == [2.0, 2.0]
+        scalar = PhaseSpec(real.g, real.g_prime, real.bracket, inverse=lambda y: 0.0)
+        f, _, _ = substitute(np.exp, scalar, 5.0)
+        assert f(0.1) == np.exp(0.0) / real.g_prime(0.0)
 
 
 def exp_decreasing_phase():
