@@ -39,13 +39,13 @@ _CONSTANTS = {"pi": np.pi + 0j, "i": 1j}
 
 # numpy's ufuncs rather than Python's operators, also where both operands
 # are x-free scalars: Python's complex division and power raise
-# ZeroDivisionError where numpy returns inf or nan, as on arrays.
+# ZeroDivisionError where numpy returns inf or nan, as on arrays. ``^`` is
+# np.power, applied in _Parser.unary.
 _OPERATORS = {
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
     "/": np.divide,
-    "^": np.power,
 }
 
 # A number (a run of digits and dots, then an optional exponent), a name,
@@ -109,12 +109,6 @@ def _tokenize(src: str):
     return tokens
 
 
-def _apply(op: str, left, right):
-    (left_text, f), (right_text, g) = left, right
-    ufunc = _OPERATORS[op]
-    return f"({left_text}{op}{right_text})", lambda x: ufunc(f(x), g(x))
-
-
 class _Parser:
     """Each rule returns ``(canonical text, function of complex x)``."""
 
@@ -172,12 +166,13 @@ class _Parser:
             self.pos += 1
             text, f = self.unary()
             return f"(-{text})", lambda x: -f(x)
-        base = self.atom()
+        text, f = self.atom()
         if self.peek() == "^":
             self.pos += 1
             # right-associative; exponent may itself be signed
-            return _apply("^", base, self.unary())
-        return base
+            exponent_text, g = self.unary()
+            return f"({text}^{exponent_text})", lambda x: np.power(f(x), g(x))
+        return text, f
 
     def atom(self):
         kind, text, offset = self.tokens[self.pos]

@@ -16,9 +16,11 @@ worker thread computes while the caller's thread samples. Either way the
 amplitude is called on the caller's thread only, and the values are those
 of the serial order, bit for bit.
 
-The amplitude sampling contract (:func:`_sample_amplitude`) and the result
-types live here too; the paper's reference solver in :mod:`oscint.levin`
-and the oracles share them.
+The sampling contract for every function a caller supplies
+(:func:`_cast_samples`), the amplitude's finiteness check
+(:func:`_sample_amplitude`) and the result types live here too; the paper's
+reference solver in :mod:`oscint.levin`, the oracles and :mod:`oscint.phase`
+share them.
 """
 
 from __future__ import annotations
@@ -128,25 +130,37 @@ def _sample_amplitude(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _cast_samples(amplitude: Amplitude, nodes: np.ndarray) -> np.ndarray:
-    """Amplitude at the nodes: float64 if its values are real, else complex128.
+def _cast_samples(fn: Callable, x: np.ndarray, name: str = "amplitude") -> np.ndarray:
+    """``fn(x)`` as float64 if its values are real, else complex128.
 
-    Real samples stay real so that :func:`forward_coefficients` takes one
-    real FFT instead of a complex one. A return of another shape is
-    broadcast to the nodes' (a scalar, say), or raises
-    :class:`InvalidInputError` naming both shapes where it cannot be. The
-    values are not checked.
+    This is the one sampling contract for every function a caller supplies:
+    the amplitude here, in :mod:`oscint.levin` and in the oracles, and a
+    phase's g, g' and inverse (:func:`oscint.phase._values`). A return of
+    another shape is broadcast to ``x``'s (a scalar, say) into a fresh
+    array, or raises :class:`InvalidInputError` ("<name> returned shape ...,
+    expected ...") where it cannot be. Values that cannot be cast, such as
+    strings or objects that are not numbers, raise :class:`InvalidInputError`
+    ("<name> returned <dtype> values, not numbers"); an object array of
+    numbers is cast. A float64 or complex128 return of ``x``'s shape is
+    returned as it is. Real samples stay real so that
+    :func:`forward_coefficients` takes one real FFT instead of a complex one.
+    The values are not checked.
     """
-    fv = np.asarray(amplitude(nodes))
-    dtype = float if fv.dtype.kind in "biuf" else complex
-    if fv.shape != nodes.shape:
+    fv = np.asarray(fn(x))
+    broadcast = fv.shape != x.shape
+    if broadcast:
         try:
-            return np.broadcast_to(fv, nodes.shape).astype(dtype)
+            fv = np.broadcast_to(fv, x.shape)
         except ValueError:
             raise InvalidInputError(
-                f"amplitude returned shape {fv.shape}, expected {nodes.shape}"
+                f"{name} returned shape {fv.shape}, expected {x.shape}"
             ) from None
-    return fv.astype(dtype, copy=False)
+    try:
+        return fv.astype(float if fv.dtype.kind in "biuf" else complex, copy=broadcast)
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"{name} returned {fv.dtype} values, not numbers"
+        ) from None
 
 
 def _check_finite(samples: np.ndarray, nodes: np.ndarray) -> None:
@@ -417,8 +431,9 @@ def integrate_on_interval(
     itself, as in :func:`integrate_standard`; elsewhere with a fresh array of
     mapped nodes, ``half*x + mid`` clipped into [a, b], so every sample lies
     in [a, b]. A non-finite sample raises :class:`AmplitudeSamplingError`
-    naming its node, and a return that does not broadcast to the nodes'
-    shape raises :class:`InvalidInputError` (:func:`_cast_samples`).
+    naming its node, and a return that breaks the sampling contract
+    (:func:`_cast_samples`: of a shape that does not broadcast to the
+    nodes', or not numbers) raises :class:`InvalidInputError`.
     ``omega``, ``a`` and ``b`` are converted to Python floats, so that
     float32 inputs are computed in double precision; the ends must be finite,
     with a < b (:func:`_interval`), or :class:`InvalidInputError` is raised before any

@@ -63,9 +63,10 @@ class InversionError(OscintError, RuntimeError):
 class PhaseSpec:
     """Monotone phase g with derivative g' on the bracket [a, b].
 
-    ``g``, ``g_prime`` and ``inverse`` are called on float arrays and
-    must work elementwise; a scalar return (e.g. ``lambda x: -1.0``) is
-    broadcast to the argument's shape. Their values must be real: a complex
+    ``g``, ``g_prime`` and ``inverse`` are called on float arrays, must
+    work elementwise and are sampled as the amplitude is
+    (:func:`oscint.moments._cast_samples`: a scalar return such as
+    ``lambda x: -1.0`` is broadcast). Their values must be real: a complex
     dtype is accepted, but a nonzero imaginary part raises
     :class:`ComplexPhaseError`. ``inverse`` is optional; when
     absent, :func:`numeric_inverse` is used. Monotonicity is probed, not
@@ -100,26 +101,17 @@ class _ProbeTable(NamedTuple):
 
 
 def _values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
-    """``fn(x)`` as a float array of ``x``'s shape (scalar returns broadcast).
-
-    A return that does not broadcast to ``x``'s shape raises
-    :class:`InvalidInputError` naming ``name`` and both shapes. A value with
-    a nonzero imaginary part raises :class:`ComplexPhaseError` naming
-    ``name`` and the first such x, where a cast would drop it.
+    """``fn(x)`` under the one sampling contract, as "phase function <name>"
+    (:func:`oscint.moments._cast_samples`), then real: a value with a nonzero
+    imaginary part raises :class:`ComplexPhaseError` naming ``name`` and the
+    first such x, where taking the real part would drop it.
     """
-    v = np.asarray(fn(x))
-    if v.shape != x.shape:
-        try:
-            v = np.broadcast_to(v, x.shape)
-        except ValueError:
-            raise InvalidInputError(
-                f"phase function {name} returned shape {v.shape}, expected {x.shape}"
-            ) from None
+    v = _cast_samples(fn, x, f"phase function {name}")
     if v.dtype.kind == "c":
         if v.imag.any():
             raise ComplexPhaseError(name, float(x[v.imag != 0][0]))
-        v = v.real
-    return v.astype(float, copy=False)
+        return v.real
+    return v
 
 
 def _probe_table(phase: PhaseSpec) -> _ProbeTable:
@@ -236,9 +228,9 @@ def substitute(
     preimage is zero or of the wrong sign. A zero of g' strictly between
     the probes and the preimages is not detected: the transformed amplitude
     is singular there, and no error is raised. Its values are real where
-    the amplitude's are. The amplitude is sampled at the preimages as the
-    kernel samples it (:func:`oscint.moments._cast_samples`): a return that
-    does not broadcast to their shape raises :class:`InvalidInputError`.
+    the amplitude's are. The amplitude at the preimages, like g, g' and the
+    inverse, is sampled under the one contract of
+    :func:`oscint.moments._cast_samples`.
     """
     a, b = phase.bracket
     table = _probe_table(phase)

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import bits, i_pow
 
 import oscint.moments as moments
 from oscint import AmplitudeSamplingError, SolvePath, integrate_on_interval
@@ -80,11 +81,6 @@ def straightforward_node_weights(m, nodes):
     return W
 
 
-def i_pow(n):
-    """i^k, k = 0..n."""
-    return np.resize([1, 1j, -1, -1j], n + 1)
-
-
 def straightforward_integral(amplitude, omega, a, b, n):
     """``integrate_on_interval``'s value as first written, for valid input."""
     half = (b - a) / 2
@@ -99,10 +95,6 @@ def straightforward_integral(amplitude, omega, a, b, n):
     else:
         value = samples @ straightforward_node_weights(m, nodes)
     return complex(half * np.exp(1j * omega * mid) * value)
-
-
-def bits(z):
-    return np.complex128(z).tobytes()
 
 
 def test_grid_is_the_full_cosine_construction():

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
+from helpers import i_pow as powers_of_i
 from scipy.fft import dct
 
 from oscint import chebyshev
@@ -258,11 +259,6 @@ class TestSampleDtypes:
         expected = forward_coefficients(samples.astype(wide))
         assert got.dtype == expected.dtype == np.complex128
         assert got.tobytes() == expected.tobytes()
-
-
-def powers_of_i(n):
-    """i^k for k = 0..n, exactly."""
-    return np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
 
 
 class TestNodeWeights:

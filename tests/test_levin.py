@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
+from helpers import bits, chebyshev_moments, i_pow
 from scipy.special import jn_zeros
 
 import oscint
@@ -33,6 +34,7 @@ from oscint.errors import InvalidInputError
 from oscint.levin import assemble_G, assemble_rhs, solve_coefficients
 from oscint.moments import (
     _NODE_WEIGHTS_FROM_N,
+    _cast_samples,
     _coefficients,
     _real_moments,
     _sample_amplitude,
@@ -74,21 +76,6 @@ def count_transforms(monkeypatch):
     for name in calls:
         counted(name)
     return calls
-
-
-def bits(z):
-    """The exact bytes of a complex value, so that -0.0 and 0.0 differ."""
-    return np.complex128(z).tobytes()
-
-
-def i_pow(n):
-    """i^k, k = 0..n."""
-    return np.resize([1, 1j, -1, -1j], n + 1)
-
-
-def chebyshev_moments(omega, n):
-    """Moments ``M_k = int_{-1}^{1} T_k(x) exp(i*omega*x) dx = i^k m_k``, k = 0..n."""
-    return i_pow(n) * _real_moments(omega, n)
 
 
 def band_compressor(n):
@@ -1226,17 +1213,10 @@ class TestAmplitudeDtype:
 
 class TestWrongShapedAmplitude:
     """A return that does not broadcast to the nodes' shape raises
-    InvalidInputError naming both shapes, wherever the amplitude is sampled."""
+    InvalidInputError naming both shapes, and one that is not numbers names
+    its dtype, wherever the amplitude is sampled."""
 
-    @pytest.mark.parametrize(
-        "amplitude,message",
-        [
-            (lambda x: x[:, None], r"\((\d+), 1\), expected \(\1,\)"),
-            (lambda x: np.ones(3), r"\(3,\), expected \(\d+,\)"),
-        ],
-        ids=["column", "three"],
-    )
-    @pytest.mark.parametrize(
+    ENTRIES = pytest.mark.parametrize(
         "entry",
         [
             lambda f: integrate_on_interval(f, 5.0, 0.0, 2.0, 16),
@@ -1246,9 +1226,63 @@ class TestWrongShapedAmplitude:
         ],
         ids=["kernel-16", "kernel-2048", "standard", "reference"],
     )
+
+    @pytest.mark.parametrize(
+        "amplitude,message",
+        [
+            (lambda x: x[:, None], r"\((\d+), 1\), expected \(\1,\)"),
+            (lambda x: np.ones(3), r"\(3,\), expected \(\d+,\)"),
+        ],
+        ids=["column", "three"],
+    )
+    @ENTRIES
     def test_raises_naming_both_shapes(self, entry, amplitude, message):
         with pytest.raises(InvalidInputError, match=f"^amplitude returned shape {message}$"):
             entry(amplitude)
+
+    @pytest.mark.parametrize(
+        "amplitude,dtype",
+        [
+            # a scalar broadcasts: the cast is what fails
+            (lambda x: "a", "<U1"),
+            (lambda x: np.full(x.shape, "a"), "<U1"),
+            (lambda x: np.array([object()] * len(x)), "object"),
+        ],
+        ids=["string", "strings", "objects"],
+    )
+    @ENTRIES
+    def test_non_numbers_raise_naming_the_dtype(self, entry, amplitude, dtype):
+        with pytest.raises(InvalidInputError) as err:
+            entry(amplitude)
+        assert str(err.value) == f"amplitude returned {dtype} values, not numbers"
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+
+
+class TestCastSamples:
+    """The one sampling contract, called directly."""
+
+    X = np.linspace(-1.0, 1.0, 5)
+
+    def test_matching_float64_and_complex128_returns_are_not_copied(self):
+        for dtype in (float, complex):
+            v = self.X.astype(dtype)
+            assert _cast_samples(lambda x: v, self.X) is v
+
+    @pytest.mark.parametrize(
+        "returned", [2.0, np.float32(2.0), np.ones(1), np.full(5, 2.0)[:1]],
+        ids=["float", "float32", "one-element", "view"],
+    )
+    def test_broadcast_returns_are_fresh_arrays(self, returned):
+        samples = _cast_samples(lambda x: returned, self.X)
+        assert samples.dtype == np.float64 and samples.shape == self.X.shape
+        assert samples.flags.writeable and samples.flags.owndata
+        assert not np.shares_memory(samples, returned)
+
+    def test_object_arrays_of_numbers_are_cast(self):
+        real = _cast_samples(lambda x: np.array(list(x), dtype=object), self.X)
+        assert real.dtype == np.complex128 and np.array_equal(real, self.X)
+        mixed = _cast_samples(lambda x: np.array([1, 2.5, 1j, 0, -1], dtype=object), self.X)
+        assert mixed.tolist() == [1, 2.5, 1j, 0, -1]
 
 
 def exp_integral(alpha, omega, a, b):

@@ -11,6 +11,7 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import chebyshev_moments
 from scipy.linalg.lapack import dgtsv, dtbtrs
 
 import oscint.moments as moments
@@ -68,11 +69,6 @@ def straightforward_chebyshev_moments(omega, n):
     M[2::4] *= -1
     M[3::4] *= -1
     return M
-
-
-def chebyshev_moments(omega, n):
-    """M_k = i^k m_k, with the kernel's i^k (period 4) extended to any n."""
-    return moments._real_moments(omega, n) * np.resize(moments._I_POW, n + 1)
 
 
 def truncation(omega, n):

@@ -173,6 +173,13 @@ class TestComplexPhase:
 
 # returns that do not broadcast to their argument's shape
 WRONG_SHAPES = {"column": lambda x: x[:, None], "three": lambda x: np.ones(3)}
+# returns that are not numbers, with the dtype their message names; a scalar
+# string broadcasts, so its cast is what fails
+NOT_NUMBERS = {
+    "string": (lambda x: "a", "<U1"),
+    "strings": (lambda x: np.full(x.shape, "a"), "<U1"),
+    "objects": (lambda x: np.array([object()] * len(x)), "object"),
+}
 
 
 class TestWrongShapedOutput:
@@ -214,6 +221,54 @@ class TestWrongShapedOutput:
             with pytest.raises(InvalidInputError) as err:
                 integrate_on_interval(f, w, lo, hi, 90)
             assert str(err.value) == f"{name} returned shape {shape}, expected (91,)"
+
+    @pytest.mark.parametrize("kind", NOT_NUMBERS)
+    @pytest.mark.parametrize("name", ["g", "g'"])
+    def test_non_numbers_at_the_probes(self, name, kind):
+        wrong, dtype = NOT_NUMBERS[kind]
+        real = sin_shift_phase()
+        phase = PhaseSpec(
+            g=wrong if name == "g" else real.g,
+            g_prime=wrong if name == "g'" else real.g_prime,
+            bracket=real.bracket,
+        )
+        for call in (
+            lambda: substitute(np.exp, phase, 5.0),
+            lambda: numeric_inverse(phase, 0.5),
+        ):
+            with pytest.raises(InvalidInputError) as err:
+                call()
+            assert str(err.value) == (
+                f"phase function {name} returned {dtype} values, not numbers"
+            )
+
+    @pytest.mark.parametrize("kind", NOT_NUMBERS)
+    def test_non_numbers_at_the_nodes(self, kind):
+        wrong, dtype = NOT_NUMBERS[kind]
+        real = sin_shift_phase()
+        with_inverse = PhaseSpec(real.g, real.g_prime, real.bracket, inverse=wrong)
+        for name, amplitude, phase in (
+            ("phase function inverse", np.exp, with_inverse),
+            ("amplitude", wrong, real),
+        ):
+            f, (lo, hi), w = substitute(amplitude, phase, 5.0)
+            with pytest.raises(InvalidInputError) as err:
+                integrate_on_interval(f, w, lo, hi, 90)
+            assert str(err.value) == f"{name} returned {dtype} values, not numbers"
+
+    def test_object_arrays_of_numbers_still_convert(self):
+        real = sin_shift_phase()
+        boxed = lambda fn: lambda x: np.array(list(fn(x)), dtype=object)
+        phase = PhaseSpec(boxed(real.g), boxed(real.g_prime), real.bracket)
+        f, limits, _ = substitute(np.exp, phase, 5.0)
+        f_real, limits_real, _ = substitute(np.exp, real, 5.0)
+        assert limits == limits_real
+        y = np.linspace(*limits, 7)
+        assert f(y).tolist() == f_real(y).tolist()
+        # an object amplitude is cast as a complex one is
+        f, _, _ = substitute(boxed(np.exp), real, 5.0)
+        f_complex, _, _ = substitute(lambda x: np.exp(x).astype(complex), real, 5.0)
+        assert f(y).tolist() == f_complex(y).tolist()
 
     def test_scalar_returns_still_broadcast(self):
         real = sin_shift_phase()
