@@ -140,13 +140,25 @@ def _cast_samples(fn: Callable, x: np.ndarray, name: str = "amplitude") -> np.nd
     array, or raises :class:`InvalidInputError` ("<name> returned shape ...,
     expected ...") where it cannot be. Values that cannot be cast, such as
     strings or objects that are not numbers, raise :class:`InvalidInputError`
-    ("<name> returned <dtype> values, not numbers"); an object array of
-    numbers is cast. A float64 or complex128 return of ``x``'s shape is
-    returned as it is. Real samples stay real so that
+    ("<name> returned <dtype> values, not numbers"), and a ragged sequence
+    such as ``[1, [2, 3]]`` raises it as "<name> returned a ragged sequence,
+    not numbers"; a ``ValueError`` that ``fn`` raises itself propagates. An
+    object array is re-read by value first, so one of real numbers is cast
+    to float64, as the same numbers returned as float64 are, and one with a
+    complex number to complex128. A float64 or complex128 return of ``x``'s
+    shape is returned as it is. Real samples stay real so that
     :func:`forward_coefficients` takes one real FFT instead of a complex one.
     The values are not checked.
     """
-    fv = np.asarray(fn(x))
+    fv = fn(x)
+    try:
+        fv = np.asarray(fv)
+        if fv.dtype.kind == "O":
+            fv = np.asarray(fv.tolist())
+    except ValueError:
+        raise InvalidInputError(
+            f"{name} returned a ragged sequence, not numbers"
+        ) from None
     broadcast = fv.shape != x.shape
     if broadcast:
         try:

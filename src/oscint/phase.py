@@ -125,7 +125,7 @@ def _probe_table(phase: PhaseSpec) -> _ProbeTable:
     x = np.clip(half * _PROBES + mid, a, b)
     x[0], x[-1] = a, b
     dv = _values(phase.g_prime, x, "g'")
-    if np.any(dv == 0) or not (np.all(dv > 0) or np.all(dv < 0)):
+    if not (np.all(dv > 0) or np.all(dv < 0)):
         raise NonMonotonePhaseError(
             f"phase derivative is not of one sign on [{a}, {b}]"
         )
@@ -158,7 +158,9 @@ def numeric_inverse(
     not for callers.
 
     Targets within 1e-12 * (1 + max|g|) of the range of g are clipped to
-    it; a target at an end of the range returns that end of the bracket.
+    it. A target equal to an end of the range after that clip returns that
+    end of the bracket: the interpolant is exact there, and the start
+    passes the first convergence test.
     Raises :class:`InvalidInputError` if any target lies further outside the range,
     :class:`NonMonotonePhaseError` if g' is not of one sign at the
     probes or g is not ordered in that sign there, and
@@ -179,13 +181,7 @@ def numeric_inverse(
         )
     ys = np.clip(target.ravel(), glo, ghi)
     tol = 1e-14 * (1 + np.abs(ys))
-    # a target at an end of the range has its root at an end of the bracket,
-    # which Newton steps overshoot and bisection only approaches
-    x = np.where(
-        np.abs(glo - ys) <= tol,
-        lo,
-        np.where(np.abs(ghi - ys) <= tol, hi, np.interp(ys, table.g, table.x)),
-    )
+    x = np.interp(ys, table.g, table.x)
     lo = np.full(ys.shape, lo)
     hi = np.full(ys.shape, hi)
     done = np.zeros(ys.shape, dtype=bool)

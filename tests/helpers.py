@@ -35,6 +35,31 @@ def example_1_exact(omega):
     return complex(np.exp(-2j * omega) * (exp1(-1j * omega) - exp1(-3j * omega)))
 
 
+def example_4_exact(omega, alpha=10.0):
+    """Catalog example 4, ``int_{-1}^{1} exp(i*2*pi*alpha*x) exp(i*omega*x) dx``,
+    omega + 2*pi*alpha != 0: 2 sin(omega + c) / (omega + c) with c = 2*pi*alpha
+    formed as the catalog's amplitude forms it. The sine is expanded so that
+    omega is kept apart from c: sin(fl(omega + c)) would lose eps*|omega|.
+    """
+    c = 2 * np.pi * alpha
+    return complex(2 * (np.sin(omega) * np.cos(c) + np.cos(omega) * np.sin(c)) / (omega + c))
+
+
+def example_5_exact(omega, alpha=0.8):
+    """Catalog example 5, ``int_{-1}^{1} (1 - a^2) / (1 - 2*a*x + a^2) exp(i*omega*x) dx``
+    with a = alpha in (0, 1) and omega > 0.
+
+    The amplitude is k / (p - x) with the real pole p = (1 + a^2)/(2a) > 1 and
+    k = (1 - a^2)/(2a); t = p - x gives k exp(i*omega*p) int_{p-1}^{p+1}
+    exp(-i*omega*t) / t dt = k exp(i*omega*p) (E1(i*omega*(p-1)) - E1(i*omega*(p+1))).
+    """
+    p = (1 + alpha**2) / (2 * alpha)
+    k = (1 - alpha**2) / (2 * alpha)
+    return complex(
+        k * np.exp(1j * omega * p) * (exp1(1j * omega * (p - 1)) - exp1(1j * omega * (p + 1)))
+    )
+
+
 def example_7_exact(omega):
     """Catalog example 7, ``int_{-1}^{1} (1 - x^2)^{3/2} exp(i*omega*x) dx``,
     omega != 0: 3*pi*J_2(omega)/omega^2 (Poisson's integral, DLMF 10.9.4)."""

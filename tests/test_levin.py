@@ -1214,7 +1214,8 @@ class TestAmplitudeDtype:
 class TestWrongShapedAmplitude:
     """A return that does not broadcast to the nodes' shape raises
     InvalidInputError naming both shapes, and one that is not numbers names
-    its dtype, wherever the amplitude is sampled."""
+    its dtype or calls it ragged, wherever the amplitude is sampled; the
+    amplitude's own ValueError propagates as it is."""
 
     ENTRIES = pytest.mark.parametrize(
         "entry",
@@ -1257,6 +1258,27 @@ class TestWrongShapedAmplitude:
         assert str(err.value) == f"amplitude returned {dtype} values, not numbers"
         assert err.value.__cause__ is None and err.value.__suppress_context__
 
+    @pytest.mark.parametrize(
+        "amplitude",
+        [lambda x: [1, [2, 3]], lambda x: np.array([1, [2, 3]], dtype=object)],
+        ids=["list", "objects"],
+    )
+    @ENTRIES
+    def test_ragged_returns_raise(self, entry, amplitude):
+        with pytest.raises(InvalidInputError) as err:
+            entry(amplitude)
+        assert str(err.value) == "amplitude returned a ragged sequence, not numbers"
+        assert err.value.__cause__ is None and err.value.__suppress_context__
+
+    @ENTRIES
+    def test_the_amplitudes_own_value_error_propagates(self, entry):
+        def amplitude(x):
+            raise ValueError("the amplitude's own")
+
+        with pytest.raises(ValueError, match="^the amplitude's own$") as err:
+            entry(amplitude)
+        assert type(err.value) is ValueError
+
 
 class TestCastSamples:
     """The one sampling contract, called directly."""
@@ -1280,9 +1302,16 @@ class TestCastSamples:
 
     def test_object_arrays_of_numbers_are_cast(self):
         real = _cast_samples(lambda x: np.array(list(x), dtype=object), self.X)
-        assert real.dtype == np.complex128 and np.array_equal(real, self.X)
+        assert real.dtype == np.float64 and real.tobytes() == self.X.tobytes()
         mixed = _cast_samples(lambda x: np.array([1, 2.5, 1j, 0, -1], dtype=object), self.X)
         assert mixed.tolist() == [1, 2.5, 1j, 0, -1]
+
+    def test_an_object_amplitude_gives_the_bits_of_its_float64_twin(self):
+        boxed = integrate_on_interval(
+            lambda x: np.array(list(np.cos(x)), dtype=object), 3.0, -1.0, 1.0, 33
+        )
+        plain = integrate_on_interval(np.cos, 3.0, -1.0, 1.0, 33)
+        assert bits(boxed.value) == bits(plain.value)
 
 
 def exp_integral(alpha, omega, a, b):

@@ -242,6 +242,25 @@ class TestWrongShapedOutput:
                 f"phase function {name} returned {dtype} values, not numbers"
             )
 
+    @pytest.mark.parametrize("name", ["g", "g'"])
+    def test_a_ragged_return_at_the_probes(self, name):
+        ragged = lambda x: [1, [2, 3]]
+        real = sin_shift_phase()
+        phase = PhaseSpec(
+            g=ragged if name == "g" else real.g,
+            g_prime=ragged if name == "g'" else real.g_prime,
+            bracket=real.bracket,
+        )
+        for call in (
+            lambda: substitute(np.exp, phase, 5.0),
+            lambda: numeric_inverse(phase, 0.5),
+        ):
+            with pytest.raises(InvalidInputError) as err:
+                call()
+            assert str(err.value) == (
+                f"phase function {name} returned a ragged sequence, not numbers"
+            )
+
     @pytest.mark.parametrize("kind", NOT_NUMBERS)
     def test_non_numbers_at_the_nodes(self, kind):
         wrong, dtype = NOT_NUMBERS[kind]
@@ -265,10 +284,10 @@ class TestWrongShapedOutput:
         assert limits == limits_real
         y = np.linspace(*limits, 7)
         assert f(y).tolist() == f_real(y).tolist()
-        # an object amplitude is cast as a complex one is
+        # an object amplitude of real numbers is cast as its float64 twin is
         f, _, _ = substitute(boxed(np.exp), real, 5.0)
-        f_complex, _, _ = substitute(lambda x: np.exp(x).astype(complex), real, 5.0)
-        assert f(y).tolist() == f_complex(y).tolist()
+        f_float, _, _ = substitute(np.exp, real, 5.0)
+        assert f(y).tobytes() == f_float(y).tobytes()
 
     def test_scalar_returns_still_broadcast(self):
         real = sin_shift_phase()
