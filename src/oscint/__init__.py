@@ -1,17 +1,20 @@
 """Oscillatory Fourier integrals by Chebyshev-Levin spectral collocation.
 
-Computes ``int_a^b f(x) exp(i*omega*g(x)) dx``. The Levin collocation
-polynomial on the Gauss-Lobatto grid integrates to the Chebyshev
-coefficients of the amplitude's samples against the moments of
-exp(i*omega*x): :func:`integrate_on_interval` (:mod:`oscint.moments`)
-sums them after one real LAPACK solve for the moments.
+Computes ``int_a^b f(x) exp(i*omega*g(x)) dx`` with one call,
+:func:`integrate_on_interval` (:mod:`oscint.moments`): linear phase g(x) = x
+by default, a strictly monotone g with ``phase=(g, g_prime)``, which it
+reduces to linear phase by the substitution y = g(x) (:mod:`oscint.phase`).
+The Levin collocation polynomial on the Gauss-Lobatto grid integrates to the
+Chebyshev coefficients of the amplitude's samples against the moments of
+exp(i*omega*x), which the call sums after one real LAPACK solve for the
+moments.
 :func:`integrate_standard` (:mod:`oscint.levin`) is the paper's solver,
 kept as the reference: it solves the banded complex Levin system for the
 antiderivative's coefficients in O(n) time.
 """
 
-from .errors import AccuracyNotReachedError, OscintError
-from .expr import AmplitudeExpr, ParseError, parse_amplitude
+from .errors import AccuracyNotReachedError, InvalidInputError, OscintError
+from .expr import ParseError, parse_amplitude
 from .levin import (
     IntegralProblem,
     SolverOverflowError,
@@ -25,23 +28,24 @@ from .moments import (
     SolvePath,
     integrate_on_interval,
 )
-from .oracle import (
-    ExampleSpec,
-    builtin_examples,
-    get_example,
-    oscillatory_reference_quadrature,
+from .oracle import builtin_examples, get_example, oscillatory_reference_quadrature
+from .phase import (
+    ComplexPhaseError,
+    InversionError,
+    NonMonotonePhaseError,
+    PhaseSpec,
+    substitute,
 )
-from .phase import InversionError, NonMonotonePhaseError, PhaseSpec, substitute
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyNotReachedError",
-    "AmplitudeExpr",
     "AmplitudeSamplingError",
-    "ExampleSpec",
+    "ComplexPhaseError",
     "IntegralProblem",
     "IntegralResult",
+    "InvalidInputError",
     "InversionError",
     "NonMonotonePhaseError",
     "OscintError",

@@ -76,7 +76,7 @@ class AmplitudeExpr:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             y = self._fn(x)
         # without x the closures return a scalar
         return y if isinstance(y, np.ndarray) else np.full(x.shape, y)

@@ -20,7 +20,8 @@ The sampling contract for every function a caller supplies
 (:func:`_cast_samples`), the amplitude's finiteness check
 (:func:`_sample_amplitude`) and the result types live here too; the paper's
 reference solver in :mod:`oscint.levin`, the oracles and :mod:`oscint.phase`
-share them.
+share them. A nonlinear phase, ``phase=(g, g_prime)``, is reduced to linear
+phase by :func:`oscint.phase.substitute` before the kernel runs.
 """
 
 from __future__ import annotations
@@ -416,8 +417,11 @@ def integrate_on_interval(
     a: float,
     b: float,
     n: int,
+    *,
+    phase: tuple[Callable, Callable] | None = None,
 ) -> IntegralResult:
-    """Compute ``int_a^b f(x) exp(i*omega*x) dx``.
+    """Compute ``int_a^b f(x) exp(i*omega*g(x)) dx``: g(x) = x unless
+    ``phase=(g, g_prime)`` gives a monotone g (last paragraph).
 
     The interval is mapped onto [-1, 1]; the effective frequency
     becomes w = omega*(b-a)/2 and the constant phase shift
@@ -450,8 +454,33 @@ def integrate_on_interval(
     float32 inputs are computed in double precision; the ends must be finite,
     with a < b (:func:`_interval`), or :class:`InvalidInputError` is raised before any
     sample is taken.
+
+    ``phase=(g, g_prime)`` gives a strictly monotone phase g and its
+    derivative, and [a, b] is the bracket: the call is
+    :func:`oscint.phase.substitute` of ``PhaseSpec(g, g_prime, (a, b))``,
+    whose checks and errors it raises, and then the linear-phase integral
+    above of the transformed amplitude on [g(a), g(b)], bit for bit the
+    value of that composition. A ``phase`` that is not a pair raises
+    ``InvalidInputError("phase must be a pair (g, g_prime)")``; the pair,
+    the bracket, ``n`` and the finiteness of ``omega`` are checked before g
+    is first called. A caller with a closed-form inverse of g composes
+    :func:`~oscint.phase.substitute` and this call itself.
     """
     omega = float(omega)  # numpy >= 2 keeps float32 * float in float32 (NEP 50)
+    if phase is not None:
+        # imported here: oscint.phase imports _cast_samples and _interval from
+        # this module
+        from .phase import PhaseSpec, substitute
+
+        try:
+            g, g_prime = phase
+        except (TypeError, ValueError):
+            raise InvalidInputError("phase must be a pair (g, g_prime)") from None
+        spec = PhaseSpec(g, g_prime, (a, b))
+        check_degree(n, 2)
+        if not math.isfinite(omega):
+            raise InvalidInputError(f"omega must be finite, got {omega}")
+        amplitude, (a, b), _ = substitute(amplitude, spec, omega)
     a, b, half, mid = _interval(a, b)
     check_degree(n, 2)
     omega_eff = omega * half

@@ -3,13 +3,17 @@
 For ``int_a^b f(x) exp(i*omega*g(x)) dx`` with g strictly monotone, the
 substitution y = g(x) gives a linear-phase integral of the transformed
 amplitude f(g^{-1}(y)) / g'(g^{-1}(y)) over [g(a), g(b)].
+``integrate_on_interval(f, omega, a, b, n, phase=(g, g_prime))``
+(:mod:`oscint.moments`) runs :func:`substitute` and then the kernel; a caller
+with a closed-form inverse of g composes the two itself.
 
 Monotonicity is probed, not proven. An error is raised for g' zero or of
-the wrong sign at a probe or at a sampled preimage node, for g out of order
-between two probes, and for a complex value of g, g' or the inverse. A zero
-of g' strictly between those points, such as the stationary point x = 0 of
-g = x^3 on [-1, 1], is not detected: the transformed amplitude is singular
-inside the interval, and the value comes back wrong with no error raised.
+the wrong sign at a probe or at a sampled preimage node, for g not finite
+at a probe or out of order between two probes, and for a complex value of
+g, g' or the inverse. A zero of g' strictly between those points, such as
+the stationary point x = 0 of g = x^3 on [-1, 1], is not detected: the
+transformed amplitude is singular inside the interval, and the value comes
+back wrong with no error raised.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class PhaseSpec:
     absent, :func:`numeric_inverse` is used. Monotonicity is probed, not
     proven: :func:`substitute` tabulates g' and g once each at 64
     Chebyshev points of the bracket (its ends included), requires g' to
-    be of one sign there and g to be ordered in that sign, and the
+    be of one sign there and g to be finite and ordered in that sign, and the
     transformed amplitude checks the sign of g' again at every preimage
     node it samples. A zero of g' strictly between those points (a
     stationary point) is not detected: the integral comes back wrong and
@@ -117,9 +121,10 @@ def _values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
 def _probe_table(phase: PhaseSpec) -> _ProbeTable:
     """Tabulate g' and g once each at the probes; raise unless g is monotone there.
 
-    g' must be nonzero and of one sign at every probe, and g non-strictly
-    ordered in that sign, which is also what :func:`numpy.interp` needs
-    of the table.
+    g' must be nonzero and of one sign at every probe, and g finite
+    (``InvalidInputError`` at the first probe where it is not) and
+    non-strictly ordered in that sign, which is also what
+    :func:`numpy.interp` needs of the table.
     """
     a, b, half, mid = _interval(*phase.bracket)
     x = np.clip(half * _PROBES + mid, a, b)
@@ -131,9 +136,14 @@ def _probe_table(phase: PhaseSpec) -> _ProbeTable:
         )
     sign = 1.0 if dv[0] > 0 else -1.0
     gv = _values(phase.g, x, "g")
+    bad = ~np.isfinite(gv)
+    if bad.any():
+        raise InvalidInputError(
+            f"phase function g is not finite at x = {float(x[np.argmax(bad)])}"
+        )
     if sign < 0:
         x, gv = x[::-1], gv[::-1]
-    rising = np.diff(gv) >= 0  # False also where g is NaN
+    rising = np.diff(gv) >= 0
     if not rising.all():
         k = int(np.argmin(rising))
         raise NonMonotonePhaseError(
@@ -161,7 +171,8 @@ def numeric_inverse(
     it. A target equal to an end of the range after that clip returns that
     end of the bracket: the interpolant is exact there, and the start
     passes the first convergence test.
-    Raises :class:`InvalidInputError` if any target lies further outside the range,
+    Raises :class:`InvalidInputError` if any target lies further outside the range
+    or g is not finite at a probe,
     :class:`NonMonotonePhaseError` if g' is not of one sign at the
     probes or g is not ordered in that sign there, and
     :class:`InversionError` if any target has not converged after 200

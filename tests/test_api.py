@@ -17,11 +17,11 @@ import oscint
 
 PUBLIC = {
     "AccuracyNotReachedError",
-    "AmplitudeExpr",
     "AmplitudeSamplingError",
-    "ExampleSpec",
+    "ComplexPhaseError",
     "IntegralProblem",
     "IntegralResult",
+    "InvalidInputError",
     "InversionError",
     "NonMonotonePhaseError",
     "OscintError",

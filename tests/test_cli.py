@@ -2,6 +2,7 @@ import cmath
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,21 @@ class TestIntegrate:
                   "--phase-derivative", "2*x"])
         assert exc.value.code == 2
         assert "--phase-derivative requires --phase" in capsys.readouterr().err
+
+    def test_phase_that_overflows_at_a_probe_is_solver_error(self, capsys):
+        # exp(x) is inf from x = 709.78 on: a non-finite g, not a non-monotone one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys,
+                "integrate", "--amplitude", "1", "--omega", "5", "--n", "16",
+                "--a", "700", "--b", "720",
+                "--phase", "exp(x)", "--phase-derivative", "exp(x)",
+            )
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "oscint: error: phase function g is not finite at x = 710.249"
+        )
 
     def test_reversed_phase_bracket_is_solver_error(self, capsys):
         code, out, err = run(
@@ -543,6 +559,18 @@ class TestNonFiniteAmplitude:
         assert code == 3
         assert out == ""
         assert "needs 255 panels" in err
+
+    def test_overflowing_expression_is_solver_error_without_a_warning(self, capsys):
+        # exp(800x) overflows to inf near x = 1: the non-finite check reports
+        # it, and numpy's overflow warning is not shown
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "integrate", "--amplitude", "exp(800*x)", "--omega", "5",
+                "--n", "8",
+            )
+        assert (code, out) == (3, "")
+        assert err == "oscint: error: amplitude is not finite at node x = 1.0\n"
 
     def test_solver_samples_are_solver_error(self, capsys):
         code, out, err = run(

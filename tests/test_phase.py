@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from helpers import bits
+from test_acceptance import TABLE_2
 
 from oscint import (
     InversionError,
@@ -489,6 +493,130 @@ class TestPole:
         with pytest.raises(NonMonotonePhaseError, match="not of one sign"):
             numeric_inverse(phase, 0.98)
         assert calls == [(64,)]
+
+
+class TestNonFiniteG:
+    """g not finite at a probe is an input error that names the probe, not a
+    non-monotone g."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("route", ["keyword", "substitute"])
+    def test_first_non_finite_probe_is_named(self, bad, route):
+        def g(x):
+            return np.where(x < 0.5, x, bad)
+
+        g_prime = lambda x: np.ones_like(x)
+        probes = np.clip(0.5 * -np.cos(np.pi * np.arange(64) / 63) + 0.5, 0.0, 1.0)
+        first = float(probes[probes >= 0.5][0])
+        message = re.escape(f"phase function g is not finite at x = {first}") + "$"
+        with pytest.raises(InvalidInputError, match=message):
+            if route == "keyword":
+                integrate_on_interval(np.cos, 5.0, 0.0, 1.0, 16, phase=(g, g_prime))
+            else:
+                substitute(np.cos, PhaseSpec(g, g_prime, (0.0, 1.0)), 5.0)
+
+
+def _composed(amplitude, omega, phase, n):
+    """``substitute`` and then the kernel, composed by hand."""
+    f, (lo, hi), w = substitute(amplitude, phase, omega)
+    return integrate_on_interval(f, w, lo, hi, n)
+
+
+def _outcome(call):
+    """What ``call()`` raised, as (type, message), or its value's bits and path."""
+    try:
+        result = call()
+    except Exception as exc:  # compared between the two routes, whatever it is
+        return type(exc), str(exc)
+    return bits(result.value), result.path, result.n_used
+
+
+class TestPhaseKeyword:
+    """``integrate_on_interval(..., phase=(g, g_prime))`` is the substitution
+    and the kernel in one call: the same bits and the same errors."""
+
+    @pytest.mark.parametrize("omega", sorted(TABLE_2))
+    def test_sin_phase_table_bit_for_bit(self, omega):
+        amp = lambda x: 1.0 / (x**2 + 1)
+        phase = sin_shift_phase()
+        keyword = lambda: integrate_on_interval(
+            amp, omega, -1.0, 1.0, 90, phase=(phase.g, phase.g_prime)
+        )
+        assert _outcome(keyword) == _outcome(lambda: _composed(amp, omega, phase, 90))
+
+    def test_cube_phase_bit_for_bit(self):
+        amp = lambda x: 1.0 / (x + 2)
+        phase = PhaseSpec(lambda x: x**3, lambda x: 3 * x**2, (0.2, 1.0))
+        keyword = lambda: integrate_on_interval(
+            amp, 200.0, 0.2, 1.0, 150, phase=(phase.g, phase.g_prime)
+        )
+        assert _outcome(keyword) == _outcome(lambda: _composed(amp, 200.0, phase, 150))
+
+    @pytest.mark.parametrize(
+        "g, g_prime, bracket, error",
+        [
+            pytest.param(
+                lambda x: x**2, lambda x: 2 * x, (-1.0, 1.0), NonMonotonePhaseError,
+                id="non-monotone",
+            ),
+            pytest.param(
+                lambda x: x + 0.5j * x, lambda x: 1.0, (-1.0, 1.0), ComplexPhaseError,
+                id="complex",
+            ),
+            pytest.param(
+                lambda x: x**3, lambda x: 3 * x**2, (1.0, -1.0), InvalidInputError,
+                id="reversed-bracket",
+            ),
+            pytest.param(
+                lambda x: x, lambda x: 1.0, (0.0, np.inf), InvalidInputError,
+                id="infinite-bracket",
+            ),
+        ],
+    )
+    def test_errors_match_the_composition(self, g, g_prime, bracket, error):
+        amp = lambda x: np.ones_like(x)
+        keyword = _outcome(
+            lambda: integrate_on_interval(amp, 5.0, *bracket, 16, phase=(g, g_prime))
+        )
+        assert keyword[0] is error
+        assert keyword == _outcome(
+            lambda: _composed(amp, 5.0, PhaseSpec(g, g_prime, bracket), 16)
+        )
+
+    @pytest.mark.parametrize(
+        "phase",
+        [np.sin, (np.sin,), (np.sin, np.cos, np.arcsin),
+         PhaseSpec(np.sin, np.cos, (-1.0, 1.0))],
+        ids=["g-alone", "one", "three", "phase-spec"],
+    )
+    def test_a_phase_that_is_not_a_pair_is_an_input_error(self, phase):
+        message = r"^phase must be a pair \(g, g_prime\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            integrate_on_interval(np.cos, 5.0, -1.0, 1.0, 16, phase=phase)
+
+    @pytest.mark.parametrize(
+        "omega, n, message",
+        [
+            (5.0, 1, "degree must be >= 2"),
+            (5.0, 16.0, "degree must be an integer"),
+            (np.inf, 16, "omega must be finite, got inf"),
+            (np.nan, 16, "omega must be finite, got nan"),
+        ],
+    )
+    def test_n_and_omega_are_checked_before_g_is_called(self, omega, n, message):
+        calls = []
+
+        def g(x):
+            calls.append("g")
+            return np.sin(x)
+
+        def g_prime(x):
+            calls.append("g'")
+            return np.cos(x)
+
+        with pytest.raises(InvalidInputError, match=message):
+            integrate_on_interval(np.cos, omega, -1.0, 1.0, n, phase=(g, g_prime))
+        assert calls == []
 
 
 class TestSubstitute:
