@@ -54,14 +54,6 @@ class BandedComplexMatrix:
         """The product M^H x."""
         return blas.zgbmv(self.dim, self.dim, self.kl, self.ku, 1, self.ab, x, trans=2)
 
-    def to_dense(self) -> np.ndarray:
-        M = np.zeros((self.dim, self.dim), dtype=complex)
-        r, j = np.indices(self.ab.shape)
-        i = j + r - self.ku
-        inside = (0 <= i) & (i < self.dim)
-        M[i[inside], j[inside]] = self.ab[inside]
-        return M
-
 
 def upper_triangular_backsolve(G: BandedComplexMatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve G x = rhs for upper-banded G (kl = 0) by LAPACK ``ztbtrs``.

@@ -467,6 +467,7 @@ def integrate_on_interval(
     :func:`~oscint.phase.substitute` and this call itself.
     """
     omega = float(omega)  # numpy >= 2 keeps float32 * float in float32 (NEP 50)
+    check_degree(n, 2)
     if phase is not None:
         # imported here: oscint.phase imports _cast_samples and _interval from
         # this module
@@ -476,13 +477,11 @@ def integrate_on_interval(
             g, g_prime = phase
         except (TypeError, ValueError):
             raise InvalidInputError("phase must be a pair (g, g_prime)") from None
-        spec = PhaseSpec(g, g_prime, (a, b))
-        check_degree(n, 2)
         if not math.isfinite(omega):
             raise InvalidInputError(f"omega must be finite, got {omega}")
+        spec = PhaseSpec(g, g_prime, (a, b))  # checks the bracket
         amplitude, (a, b), _ = substitute(amplitude, spec, omega)
     a, b, half, mid = _interval(a, b)
-    check_degree(n, 2)
     omega_eff = omega * half
     if not math.isfinite(omega_eff):
         raise InvalidInputError(

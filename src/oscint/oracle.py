@@ -33,7 +33,6 @@ __all__ = [
     "builtin_examples",
     "get_example",
     "transform_matrix",
-    "physical_diff_matrix",
     "spectral_diff_matrix",
 ]
 
@@ -54,25 +53,6 @@ def transform_matrix(nodes: np.ndarray) -> np.ndarray:
     and row sums built on T.
     """
     return np.ascontiguousarray(chebvander(nodes, len(nodes) - 1))
-
-
-def physical_diff_matrix(nodes: np.ndarray) -> np.ndarray:
-    """Differentiation matrix acting on function samples at the nodes.
-
-    Off-diagonal entries (r_k/r_j)(-1)^(k+j)/(x_k - x_j) with endpoint
-    weights r_0 = r_n = 2; the diagonal is the negative row sum, which
-    forces exact differentiation of constants.
-    """
-    n = len(nodes) - 1
-    r = np.ones(n + 1)
-    r[0] = r[n] = 2.0
-    sign = (-1.0) ** np.arange(n + 1)
-    # (x_k - x_j) with ones on the diagonal to avoid dividing by zero
-    dx = nodes[:, None] - nodes[None, :] + np.eye(n + 1)
-    D = (r[:, None] / r[None, :]) * (sign[:, None] * sign[None, :]) / dx
-    np.fill_diagonal(D, 0.0)
-    np.fill_diagonal(D, -D.sum(axis=1))
-    return D
 
 
 def spectral_diff_matrix(n: int) -> np.ndarray:

@@ -7,13 +7,19 @@ amplitude f(g^{-1}(y)) / g'(g^{-1}(y)) over [g(a), g(b)].
 (:mod:`oscint.moments`) runs :func:`substitute` and then the kernel; a caller
 with a closed-form inverse of g composes the two itself.
 
-Monotonicity is probed, not proven. An error is raised for g' zero or of
-the wrong sign at a probe or at a sampled preimage node, for g not finite
-at a probe or out of order between two probes, and for a complex value of
-g, g' or the inverse. A zero of g' strictly between those points, such as
-the stationary point x = 0 of g = x^3 on [-1, 1], is not detected: the
-transformed amplitude is singular inside the interval, and the value comes
-back wrong with no error raised.
+Monotonicity is probed, not proven. At the probes and at every sampled
+preimage node, g' is held to one rule, sign * g' > 0, with the sign g' has
+at the bracket's left end (:func:`_slope`): a value that breaks it raises
+``NonMonotonePhaseError("phase derivative is <v> at x = <x>, not of one sign
+on [a, b]")``, or ``InvalidInputError`` ("phase function g' is not finite at
+x = ...") where it is NaN. An infinite g' has a sign and passes. An error is
+also raised for g not finite at a probe or out of order between two probes,
+for a complex value of g, g' or the inverse, and for a NaN part of one
+("not finite", not complex). A closed-form inverse's values are clipped into
+the bracket, as the numeric inversion's lie in it. A zero of g' strictly
+between the probes and the preimages, such as the stationary point x = 0 of
+g = x^3 on [-1, 1], is not detected: the transformed amplitude is singular
+inside the interval, and the value comes back wrong with no error raised.
 """
 
 from __future__ import annotations
@@ -71,19 +77,21 @@ class PhaseSpec:
     work elementwise and are sampled as the amplitude is
     (:func:`oscint.moments._cast_samples`: a scalar return such as
     ``lambda x: -1.0`` is broadcast). Their values must be real: a complex
-    dtype is accepted, but a nonzero imaginary part raises
-    :class:`ComplexPhaseError`. ``inverse`` is optional; when
-    absent, :func:`numeric_inverse` is used. Monotonicity is probed, not
-    proven: :func:`substitute` tabulates g' and g once each at 64
-    Chebyshev points of the bracket (its ends included), requires g' to
-    be of one sign there and g to be finite and ordered in that sign, and the
-    transformed amplitude checks the sign of g' again at every preimage
-    node it samples. A zero of g' strictly between those points (a
-    stationary point) is not detected: the integral comes back wrong and
-    no error is raised. The bracket's ends are converted to floats and
-    must be finite, with a < b, or ``InvalidInputError("invalid interval: ...")``
-    is raised; ``bracket`` holds that float pair. Every probe lies in the
-    bracket.
+    dtype is accepted, but a value with a nonzero imaginary part raises
+    :class:`ComplexPhaseError`, or ``InvalidInputError`` ("not finite") if
+    either of its parts is NaN. ``inverse`` is optional, and its values are
+    clipped into the bracket; when it is absent, :func:`numeric_inverse` is
+    used. Monotonicity is probed, not proven: :func:`substitute` tabulates
+    g' and g once each at 64 Chebyshev points of the bracket (its ends
+    included), requires g to be finite there and ordered in the sign of g',
+    and holds g' to one rule, sign * g' > 0, at those points and again at
+    every preimage node the transformed amplitude samples; an infinite g'
+    passes, a NaN g' is "not finite". A zero of g' strictly between those
+    points (a stationary point) is not detected: the integral comes back
+    wrong and no error is raised. The bracket's ends are converted to floats
+    and must be finite, with a < b, or
+    ``InvalidInputError("invalid interval: ...")`` is raised; ``bracket``
+    holds that float pair. Every probe lies in the bracket.
     """
 
     g: Callable[[np.ndarray], np.ndarray]
@@ -104,43 +112,69 @@ class _ProbeTable(NamedTuple):
     g: np.ndarray  # g at ``x``, non-decreasing
 
 
+def _not_finite(name: str, x: float) -> InvalidInputError:
+    """The error for g, g' or the inverse (``name``) not finite at ``x``."""
+    return InvalidInputError(f"phase function {name} is not finite at x = {x}")
+
+
 def _values(fn: Callable, x: np.ndarray, name: str) -> np.ndarray:
     """``fn(x)`` under the one sampling contract, as "phase function <name>"
     (:func:`oscint.moments._cast_samples`), then real: a value with a nonzero
     imaginary part raises :class:`ComplexPhaseError` naming ``name`` and the
-    first such x, where taking the real part would drop it.
+    first such x, where taking the real part would drop it, or
+    :func:`_not_finite` there if either of its parts is NaN. The check runs
+    only where the imaginary part is not all zero.
     """
     v = _cast_samples(fn, x, f"phase function {name}")
     if v.dtype.kind == "c":
         if v.imag.any():
-            raise ComplexPhaseError(name, float(x[v.imag != 0][0]))
+            k = int(np.argmax(v.imag != 0))
+            # 0*log(0) is nan+nanj in complex arithmetic: not finite, not complex
+            error = _not_finite if np.isnan(v[k]) else ComplexPhaseError
+            raise error(name, float(x[k]))
         return v.real
     return v
+
+
+def _slope(phase: PhaseSpec, x: np.ndarray, sign: float | None = None):
+    """``(sign, g'(x))`` with g' sampled by :func:`_values` and checked to be
+    of one sign: ``sign`` (+1.0 or -1.0) where it is given, else that of g'
+    at ``x[0]``. The rule is ``sign * g' > 0``, so an infinite g' passes. At
+    the first x that breaks it, a NaN g' raises :class:`InvalidInputError`
+    ("phase function g' is not finite at x = ...") and any other value
+    :class:`NonMonotonePhaseError` naming the value and its x.
+    """
+    dv = _values(phase.g_prime, x, "g'")
+    if sign is None:
+        sign = 1.0 if dv[0] > 0 else -1.0
+    ok = sign * dv > 0
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first x that breaks the rule
+        if np.isnan(dv[k]):
+            raise _not_finite("g'", float(x[k]))
+        a, b = phase.bracket
+        raise NonMonotonePhaseError(
+            f"phase derivative is {dv[k]} at x = {x[k]}, not of one sign on [{a}, {b}]"
+        )
+    return sign, dv
 
 
 def _probe_table(phase: PhaseSpec) -> _ProbeTable:
     """Tabulate g' and g once each at the probes; raise unless g is monotone there.
 
-    g' must be nonzero and of one sign at every probe, and g finite
-    (``InvalidInputError`` at the first probe where it is not) and
+    g' must pass :func:`_slope` with the sign of its first value, and g be
+    finite (``InvalidInputError`` at the first probe where it is not) and
     non-strictly ordered in that sign, which is also what
     :func:`numpy.interp` needs of the table.
     """
     a, b, half, mid = _interval(*phase.bracket)
     x = np.clip(half * _PROBES + mid, a, b)
     x[0], x[-1] = a, b
-    dv = _values(phase.g_prime, x, "g'")
-    if not (np.all(dv > 0) or np.all(dv < 0)):
-        raise NonMonotonePhaseError(
-            f"phase derivative is not of one sign on [{a}, {b}]"
-        )
-    sign = 1.0 if dv[0] > 0 else -1.0
+    sign, _ = _slope(phase, x)
     gv = _values(phase.g, x, "g")
     bad = ~np.isfinite(gv)
     if bad.any():
-        raise InvalidInputError(
-            f"phase function g is not finite at x = {float(x[np.argmax(bad)])}"
-        )
+        raise _not_finite("g", float(x[np.argmax(bad)]))
     if sign < 0:
         x, gv = x[::-1], gv[::-1]
     rising = np.diff(gv) >= 0
@@ -172,7 +206,7 @@ def numeric_inverse(
     end of the bracket: the interpolant is exact there, and the start
     passes the first convergence test.
     Raises :class:`InvalidInputError` if any target lies further outside the range
-    or g is not finite at a probe,
+    or g or g' is not finite at a probe (g' NaN; an infinite g' passes),
     :class:`NonMonotonePhaseError` if g' is not of one sign at the
     probes or g is not ordered in that sign there, and
     :class:`InversionError` if any target has not converged after 200
@@ -230,18 +264,19 @@ def substitute(
     and g are tabulated at the 64 probes of :class:`PhaseSpec`, and the
     table's end values are the new limits. Each call of the transformed
     amplitude inverts all its points in one :func:`numeric_inverse`
-    call, which starts from that table (or in one ``phase.inverse``
-    call), and raises :class:`NonMonotonePhaseError` if g' at any
-    preimage is zero or of the wrong sign. A zero of g' strictly between
+    call, which starts from that table, or in one ``phase.inverse`` call,
+    whose values are clipped into the bracket as the numeric inversion's
+    lie in it. It then holds g' at every preimage to the probes' rule
+    (:func:`_slope`): :class:`NonMonotonePhaseError` if g' there is zero or
+    of the wrong sign, ``InvalidInputError`` if it is NaN; an infinite g'
+    passes and that point's value is 0. A zero of g' strictly between
     the probes and the preimages is not detected: the transformed amplitude
     is singular there, and no error is raised. Its values are real where
     the amplitude's are. The amplitude at the preimages, like g, g' and the
     inverse, is sampled under the one contract of
     :func:`oscint.moments._cast_samples`.
     """
-    a, b = phase.bracket
     table = _probe_table(phase)
-    sign = table.sign
 
     def transformed(y):
         y = np.asarray(y, dtype=float)
@@ -249,14 +284,9 @@ def substitute(
         if phase.inverse is None:
             x = numeric_inverse(phase, ys, _table=table)
         else:
-            x = _values(phase.inverse, ys, "inverse")
-        dg = _values(phase.g_prime, x, "g'")
-        wrong = ~(sign * dg > 0)
-        if np.any(wrong):
-            raise NonMonotonePhaseError(
-                f"phase derivative is {dg[wrong][0]} at x = {x[wrong][0]}, "
-                f"not of the sign it has on the probes of [{a}, {b}]"
-            )
+            # a closed form can round an ulp past an end of the bracket
+            x = np.clip(_values(phase.inverse, ys, "inverse"), *phase.bracket)
+        sign, dg = _slope(phase, x, table.sign)
         out = sign * _cast_samples(amplitude, x) / dg
         return out[0] if y.ndim == 0 else out
 

@@ -1,7 +1,9 @@
 """Helpers and closed-form references shared by several test modules.
 
 The references use ``scipy.special``, which ``import oscint`` does not load;
-they live here, not in ``oscint.oracle``, so that it stays that way.
+they live here, not in ``oscint.oracle``, so that it stays that way. So do
+the dense views that only tests read: a band matrix as a dense array and the
+differentiation matrix on function samples.
 """
 
 import numpy as np
@@ -13,6 +15,39 @@ from oscint.moments import _real_moments
 def bits(z):
     """The exact bytes of a complex value, so that -0.0 and 0.0 differ."""
     return np.complex128(z).tobytes()
+
+
+def to_dense(M):
+    """The :class:`oscint.banded.BandedComplexMatrix` ``M`` as a dense array.
+
+    Entry (i, j) is read from ``M.ab[ku + i - j, j]``; band slots that map
+    outside the matrix are not read.
+    """
+    dense = np.zeros((M.dim, M.dim), dtype=complex)
+    r, j = np.indices(M.ab.shape)
+    i = j + r - M.ku
+    inside = (0 <= i) & (i < M.dim)
+    dense[i[inside], j[inside]] = M.ab[inside]
+    return dense
+
+
+def physical_diff_matrix(nodes):
+    """Differentiation matrix acting on function samples at the nodes.
+
+    Off-diagonal entries (r_k/r_j)(-1)^(k+j)/(x_k - x_j) with endpoint
+    weights r_0 = r_n = 2; the diagonal is the negative row sum, which
+    forces exact differentiation of constants.
+    """
+    n = len(nodes) - 1
+    r = np.ones(n + 1)
+    r[0] = r[n] = 2.0
+    sign = (-1.0) ** np.arange(n + 1)
+    # (x_k - x_j) with ones on the diagonal to avoid dividing by zero
+    dx = nodes[:, None] - nodes[None, :] + np.eye(n + 1)
+    D = (r[:, None] / r[None, :]) * (sign[:, None] * sign[None, :]) / dx
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
+    return D
 
 
 def i_pow(n):

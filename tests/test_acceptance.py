@@ -10,6 +10,7 @@ import time
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
+from helpers import physical_diff_matrix, to_dense
 
 from oscint import (
     IntegralProblem,
@@ -25,7 +26,6 @@ from oscint.chebyshev import gauss_lobatto_nodes
 from oscint.levin import assemble_G, solve_coefficients
 from oscint.oracle import (
     dense_collocation_solve,
-    physical_diff_matrix,
     spectral_diff_matrix,
     transform_matrix,
 )
@@ -188,7 +188,7 @@ def test_criterion_07_dense_banded_equivalence(report):
     worst_value = 0.0
     for omega in (3.0, 20.0, 150.0):
         for n in (8, 16, 32):
-            kappa = np.linalg.cond(assemble_G(omega, n).to_dense(), 1)
+            kappa = np.linalg.cond(to_dense(assemble_G(omega, n)), 1)
             for _ in range(10):
                 coeffs = rng.standard_normal(n // 2 + 1)
                 amp = lambda x: npcheb.chebval(x, coeffs)

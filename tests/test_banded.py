@@ -3,6 +3,7 @@ H = G^H G (kl = ku = 2), their storage, products and LAPACK solvers."""
 
 import numpy as np
 import pytest
+from helpers import to_dense
 from scipy.linalg import solve_banded, solve_triangular
 
 from oscint import SingularMatrixError
@@ -58,7 +59,7 @@ class TestStorage:
         b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         np.testing.assert_allclose(
             solve_banded((kl, ku), M.ab, b),
-            np.linalg.solve(M.to_dense(), b),
+            np.linalg.solve(to_dense(M), b),
             rtol=1e-12,
             atol=1e-12,
         )
@@ -75,7 +76,7 @@ class TestStorage:
         for kl, ku in (G_SHAPE, H_SHAPE):
             M = random_banded(rng, 9, kl, ku)
             x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-            np.testing.assert_allclose(M.matvec(x), M.to_dense() @ x, atol=1e-13)
+            np.testing.assert_allclose(M.matvec(x), to_dense(M) @ x, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rmatvec_matches_dense(self, seed):
@@ -84,7 +85,7 @@ class TestStorage:
         M = random_banded(rng, dim, kl, ku)
         x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         np.testing.assert_allclose(
-            M.rmatvec(x), M.to_dense().conj().T @ x, rtol=1e-13, atol=1e-13
+            M.rmatvec(x), to_dense(M).conj().T @ x, rtol=1e-13, atol=1e-13
         )
 
 
@@ -107,7 +108,7 @@ class TestBacksolve:
             rhs = M.matvec(x_true)
             x = upper_triangular_backsolve(M, rhs)
             np.testing.assert_allclose(x, x_true, atol=1e-11)
-            dense = np.linalg.solve(M.to_dense(), rhs)
+            dense = np.linalg.solve(to_dense(M), rhs)
             np.testing.assert_allclose(x, dense, rtol=1e-13, atol=1e-13)
 
     def test_direct_regime_levin_matrix_vs_dense(self):
@@ -116,7 +117,7 @@ class TestBacksolve:
         rhs = rng.standard_normal(2001) + 1j * rng.standard_normal(2001)
         x = upper_triangular_backsolve(G, rhs)
         np.testing.assert_allclose(
-            x, solve_triangular(G.to_dense(), rhs), rtol=1e-12, atol=1e-18
+            x, solve_triangular(to_dense(G), rhs), rtol=1e-12, atol=1e-18
         )
 
     def test_zero_diagonal_reports_row(self):
@@ -148,7 +149,7 @@ class TestBandedLU:
         rhs = M.matvec(x)
         solved = lu_solve(banded_lu_partial_pivot(M), rhs)
         np.testing.assert_allclose(solved, x, atol=1e-11 * np.max(np.abs(x)))
-        dense = np.linalg.solve(M.to_dense(), rhs)
+        dense = np.linalg.solve(to_dense(M), rhs)
         np.testing.assert_allclose(solved, dense, rtol=1e-13, atol=1e-13)
 
     def test_pentadiagonal_normal_matrix_vs_dense_oracle(self):
@@ -157,7 +158,7 @@ class TestBandedLU:
         rhs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         H, y = normal_system(G, rhs)
         x = lu_solve(banded_lu_partial_pivot(H), y)
-        x_dense = np.linalg.solve(H.to_dense(), y)
+        x_dense = np.linalg.solve(to_dense(H), y)
         np.testing.assert_allclose(x, x_dense, atol=1e-11)
 
     @pytest.mark.parametrize("dim", [5, 16, 64])
@@ -168,7 +169,7 @@ class TestBandedLU:
         rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         x = lu_solve(factors, rhs)
         res = np.max(np.abs(M.matvec(x) - rhs))
-        scale = np.max(np.abs(M.to_dense())) * np.max(np.abs(x)) + np.max(np.abs(rhs))
+        scale = np.max(np.abs(to_dense(M))) * np.max(np.abs(x)) + np.max(np.abs(rhs))
         assert res <= 1e-12 * scale
 
     def test_factor_reuse_is_deterministic(self):
@@ -212,12 +213,12 @@ class TestNormalSystem:
         G = from_dense(np.eye(4), *G_SHAPE)
         rhs = np.array([1j, 2.0, 3.0, 4.0])
         H, y = normal_system(G, rhs)
-        np.testing.assert_array_equal(H.to_dense(), np.eye(4))
+        np.testing.assert_array_equal(to_dense(H), np.eye(4))
         np.testing.assert_array_equal(y, rhs)
 
     def test_hand_worked_entries(self):
         H, y = normal_system(spec_example_G(), np.zeros(3))
-        Hd = H.to_dense()
+        Hd = to_dense(H)
         assert Hd[0, 0] == 25
         assert Hd[1, 1] == 26
         assert Hd[2, 2] == 54
@@ -230,8 +231,8 @@ class TestNormalSystem:
         G = random_banded(rng, dim, *G_SHAPE)
         rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         H, y = normal_system(G, rhs)
-        Gd = G.to_dense()
-        np.testing.assert_allclose(H.to_dense(), Gd.conj().T @ Gd, atol=1e-12)
+        Gd = to_dense(G)
+        np.testing.assert_allclose(to_dense(H), Gd.conj().T @ Gd, atol=1e-12)
         np.testing.assert_allclose(y, Gd.conj().T @ rhs, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -239,7 +240,7 @@ class TestNormalSystem:
         rng = np.random.default_rng(100 + seed)
         G = random_banded(rng, 10, *G_SHAPE)
         H, _ = normal_system(G, np.zeros(10))
-        Hd = H.to_dense()
+        Hd = to_dense(H)
         np.testing.assert_allclose(Hd, Hd.conj().T, atol=1e-13)
         assert np.all(H.ab[2].real >= 0)  # the diagonal
         assert np.all(np.abs(H.ab[2].imag) == 0)
@@ -258,8 +259,8 @@ class TestNormalSystem:
         assert ab[1, 0] == 0  # band 1 starts at column 1
         assert ab[3, -1] == 0  # band -1 ends one column early
         assert np.all(ab[4, -2:] == 0)  # band -2 ends two columns early
-        Gd = G.to_dense()
-        np.testing.assert_allclose(H.to_dense(), Gd.conj().T @ Gd, atol=1e-12)
+        Gd = to_dense(G)
+        np.testing.assert_allclose(to_dense(H), Gd.conj().T @ Gd, atol=1e-12)
 
 
 def test_lu_agrees_with_backsolve_in_direct_regime():

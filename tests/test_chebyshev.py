@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 import pytest
-from helpers import i_pow as powers_of_i
+from helpers import i_pow as powers_of_i, physical_diff_matrix
 from scipy.fft import dct
 
 from oscint import chebyshev
@@ -11,7 +11,7 @@ from oscint.chebyshev import (
     gauss_lobatto_nodes,
 )
 from oscint.errors import InvalidInputError
-from oscint.oracle import physical_diff_matrix, spectral_diff_matrix, transform_matrix
+from oscint.oracle import spectral_diff_matrix, transform_matrix
 
 
 class TestGaussLobattoNodes:

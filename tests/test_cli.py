@@ -239,6 +239,18 @@ class TestIntegrate:
             "oscint: error: phase function g is not finite at x = 710.249"
         )
 
+    def test_nan_phase_derivative_is_not_finite_not_complex(self, capsys):
+        # complex arithmetic gives 0*log(0)^2 = nan+nanj at the preimage x = 0.5;
+        # below 0.5 the log is complex but the product is 0+0j
+        code, out, err = run(
+            capsys,
+            "integrate", "--amplitude", "1", "--omega", "5", "--n", "16",
+            "--a", "0", "--b", "1",
+            "--phase", "x", "--phase-derivative", "1+0*log(x-0.5)^2",
+        )
+        assert (code, out) == (3, "")
+        assert err == "oscint: error: phase function g' is not finite at x = 0.5\n"
+
     def test_reversed_phase_bracket_is_solver_error(self, capsys):
         code, out, err = run(
             capsys,

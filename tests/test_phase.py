@@ -35,6 +35,12 @@ def sin_shift_phase():
 
 
 class TestMonotonicityCheck:
+    # the one message of the one rule, sign * g' > 0, at the probes and at
+    # the preimages: the first value that breaks it, and its x
+    ONE_SIGN = (
+        r"^phase derivative is (\S+) at x = (\S+), not of one sign on \[-1\.0, 1\.0\]$"
+    )
+
     def test_increasing_accepted(self):
         f, (lo, hi), omega = substitute(lambda x: x, sin_shift_phase(), 5.0)
         assert omega == 5.0
@@ -52,8 +58,13 @@ class TestMonotonicityCheck:
         phase = PhaseSpec(
             g=lambda x: x**2, g_prime=lambda x: 2 * x, bracket=(-1.0, 1.0)
         )
-        with pytest.raises(NonMonotonePhaseError):
+        with pytest.raises(NonMonotonePhaseError) as err:
             substitute(lambda x: x, phase, 5.0)
+        # g' = 2x is negative at the first probe, x = -1; the first probe
+        # past 0 breaks that sign
+        value, x = map(float, re.match(self.ONE_SIGN, str(err.value)).groups())
+        probes = -np.cos(np.pi * np.arange(64) / 63)
+        assert x == probes[probes > 0][0] and value == 2 * x
 
     def test_wrong_sign_at_preimage_node_rejected(self):
         # g' < 0 only in a window around one Gauss-Lobatto node (n = 90)
@@ -69,8 +80,10 @@ class TestMonotonicityCheck:
 
         phase = PhaseSpec(g=lambda x: x, g_prime=g_prime, bracket=(-1.0, 1.0))
         f, (lo, hi), w = substitute(lambda x: np.ones_like(x), phase, 5.0)
-        with pytest.raises(NonMonotonePhaseError, match="at x = "):
+        with pytest.raises(NonMonotonePhaseError) as err:
             integrate_on_interval(f, w, lo, hi, n)
+        value, x = map(float, re.match(self.ONE_SIGN, str(err.value)).groups())
+        assert (value, x) == (-1.0, node)
 
     @pytest.mark.parametrize(
         "bracket, message",
@@ -514,6 +527,96 @@ class TestNonFiniteG:
                 integrate_on_interval(np.cos, 5.0, 0.0, 1.0, 16, phase=(g, g_prime))
             else:
                 substitute(np.cos, PhaseSpec(g, g_prime, (0.0, 1.0)), 5.0)
+
+
+class TestNonFiniteGPrime:
+    """A NaN g' is not finite, not a sign change; a NaN part of a complex
+    value is not finite, not complex."""
+
+    @pytest.mark.parametrize("route", ["keyword", "substitute"])
+    def test_nan_at_a_probe_is_named(self, route):
+        g, g_prime = (lambda x: x), (lambda x: np.where(x < 0.5, 1.0, np.nan))
+        message = r"^phase function g' is not finite at x = 0\.5124653458690365$"
+        with pytest.raises(InvalidInputError, match=message):
+            if route == "keyword":
+                integrate_on_interval(np.cos, 5.0, 0.0, 1.0, 16, phase=(g, g_prime))
+            else:
+                substitute(np.cos, PhaseSpec(g, g_prime, (0.0, 1.0)), 5.0)
+
+    def test_nan_at_a_preimage_is_named(self):
+        node = TestComplexPhase.NODE
+        g_prime = lambda x: TestComplexPhase._off_node(x, 1.0, np.nan)
+        f, (lo, hi), w = substitute(
+            lambda x: np.ones_like(x), PhaseSpec(lambda x: x, g_prime, (-1.0, 1.0)), 5.0
+        )
+        message = re.escape(f"phase function g' is not finite at x = {node}") + "$"
+        with pytest.raises(InvalidInputError, match=message):
+            integrate_on_interval(f, w, lo, hi, 90)
+
+    @pytest.mark.parametrize("name", ["g", "g'", "inverse"])
+    def test_complex_nan_is_not_finite(self, name):
+        # 0*log(0) evaluates to nan+nanj in complex arithmetic; here only at a
+        # node between two probes, which g sees in the numeric inversion
+        node = TestComplexPhase.NODE
+        nan = complex(np.nan, np.nan)
+        nan_at_node = lambda x, v: TestComplexPhase._off_node(x, v, nan)
+        phase = {
+            "g": PhaseSpec(lambda x: nan_at_node(x, x), lambda x: 1.0, (-1.0, 1.0)),
+            "g'": PhaseSpec(lambda x: x, lambda x: nan_at_node(x, 1.0), (-1.0, 1.0)),
+            "inverse": PhaseSpec(
+                lambda x: x, lambda x: 1.0, (-1.0, 1.0), lambda y: nan_at_node(y, y)
+            ),
+        }[name]
+        f, (lo, hi), w = substitute(lambda x: np.ones_like(x), phase, 5.0)
+        message = re.escape(f"phase function {name} is not finite at x = {node}") + "$"
+        with pytest.raises(InvalidInputError, match=message):
+            integrate_on_interval(f, w, lo, hi, 90)
+
+
+class TestInfiniteSlope:
+    """g' = inf has a sign: g = cbrt(x) through 0 is a valid phase, and the
+    integral is that of 3y^2 exp(i*omega*y) over [g(a), g(b)]."""
+
+    @staticmethod
+    def g_prime(x):
+        with np.errstate(divide="ignore"):
+            return 1 / (3 * np.cbrt(x) ** 2)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0])
+    def test_cube_root(self, a):
+        w = 20.0
+        s = 1j * w
+        antiderivative = lambda y: np.exp(s * y) * (y * y / s - 2 * y / s**2 + 2 / s**3)
+        exact = 3 * (antiderivative(1.0) - antiderivative(a))
+        value = integrate_on_interval(
+            lambda x: np.ones_like(x), w, a, 1.0, 64, phase=(np.cbrt, self.g_prime)
+        ).value
+        assert abs(value - exact) < 1e-14
+
+
+class TestClosedFormInverse:
+    """A closed-form inverse can round past an end of the bracket; its values
+    are clipped into it, as every point oscint places lies in its interval."""
+
+    def test_preimages_stay_in_the_bracket(self):
+        def f(x):
+            # NaN outside [a, b], where the kernel would raise
+            with np.errstate(invalid="ignore"):
+                return np.sqrt(x - a) * np.sqrt(b - x)
+
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            s = rng.uniform(-0.2, 0.2)
+            a, b = rng.uniform(-1.2, -0.5), rng.uniform(0.5, 1.2)
+            g, g_prime = (lambda x: np.sin(x + s)), (lambda x: np.cos(x + s))
+            inverse = lambda y: np.arcsin(y) - s
+            h, (lo, hi), w = substitute(f, PhaseSpec(g, g_prime, (a, b), inverse), 10.0)
+            integrate_on_interval(h, w, lo, hi, 32)
+            # where the closed form lies in the bracket, its values are kept
+            ys = np.linspace(lo, hi, 33)
+            x = inverse(ys)
+            inside = (a <= x) & (x <= b)
+            assert np.array_equal(h(ys)[inside], (f(x) / g_prime(x))[inside])
 
 
 def _composed(amplitude, omega, phase, n):
